@@ -25,11 +25,11 @@ vet-lint:
 fmt:
 	gofmt -w .
 
-# Regenerate the committed sharded cluster-loop baseline: a 32-instance
-# 1M-request bursty trace through the serial, sharded (workers
-# 1/2/4/NumCPU) and streaming loops, byte-parity checked, with honest
-# wall-clock ratios and memory columns (peak heap, GC cycles,
-# allocs/request) — plus the 10M-request streaming-only horizon run.
+# Regenerate the committed cluster-loop baseline: a 32-instance
+# 1M-request bursty workload through the shared-clock loop, once as a
+# materialized trace and once streamed, byte-parity checked, with
+# wall-clock and memory columns (peak heap, GC cycles, allocs/request) —
+# plus the 10M-request streaming-only horizon run.
 clusterbench:
 	$(GO) run ./cmd/finemoe-bench -clusterbench BENCH_cluster.json -clusterbench-horizon 10000000
 

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -18,13 +18,12 @@ import (
 )
 
 // clusterBenchRun is one loop configuration's measurement in the
-// committed BENCH_cluster.json baseline. Workers 0 is the serial
-// shared-clock loop every other run is compared against. Mode "trace"
-// consumes a fully materialized request slice; mode "stream" consumes
-// the same workload through a generator-backed workload.Source —
-// byte-identical results, streaming memory footprint.
+// committed BENCH_cluster.json baseline. Mode "trace" consumes a fully
+// materialized request slice and is the reference every other row is
+// compared against; mode "stream" consumes the same workload through a
+// generator-backed workload.Source — byte-identical results, streaming
+// memory footprint.
 type clusterBenchRun struct {
-	Workers         int     `json:"workers"`
 	Mode            string  `json:"mode"`
 	WallMS          float64 `json:"wall_ms"`
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
@@ -51,10 +50,9 @@ type clusterBenchHorizon struct {
 	AllocsPerRequest float64 `json:"allocs_per_request"`
 }
 
-// clusterBenchBaseline is the artifact's top-level schema. Speedups are
-// honest measurements on the generating machine — NumCPU and GOMAXPROCS
-// are recorded precisely because a single-core runner cannot show the
-// multi-core scaling the sharded loop exists for.
+// clusterBenchBaseline is the artifact's top-level schema. Wall times
+// are measurements on the generating machine, recorded with its NumCPU
+// and GOMAXPROCS.
 type clusterBenchBaseline struct {
 	GeneratedBy   string               `json:"generated_by"`
 	GoVersion     string               `json:"go_version"`
@@ -75,7 +73,7 @@ type clusterBenchBaseline struct {
 
 // clusterBenchFleet builds one fresh fleet for a bench run: Tiny-model
 // FineMoE instances on the paper's testbed GPU, least-loaded routing.
-func clusterBenchFleet(m *moe.Model, instances, workers int) *cluster.Cluster {
+func clusterBenchFleet(m *moe.Model, instances int) *cluster.Cluster {
 	cfg := m.Cfg
 	engines := make([]*serve.Engine, instances)
 	for i := range engines {
@@ -87,7 +85,6 @@ func clusterBenchFleet(m *moe.Model, instances, workers int) *cluster.Cluster {
 	return cluster.New(cluster.Options{
 		Engines: engines,
 		Router:  cluster.NewLeastLoaded(),
-		Workers: workers,
 	})
 }
 
@@ -127,16 +124,16 @@ func (p *memProbe) stop(dst *clusterBenchRun, n int) {
 }
 
 // runClusterBench drives the cluster loop benchmark: one bursty MMPP
-// workload of n requests over a fixed fleet, run through the serial
-// loop, the sharded loop at several worker counts, and the streaming
-// (generator-source) path. Every run's full ClusterResult must be
-// byte-identical to the serial materialized loop's — a parity failure
-// aborts the benchmark — and the honest wall-clock ratios plus memory
-// columns land in the JSON baseline at path. A positive horizon adds a
-// streaming-only long-horizon run of that many requests (never
-// materialized: at 10M requests the trace alone would hold ~10⁷ request
-// records plus embeddings, which is the case the streaming path exists
-// for).
+// workload of n requests over a fixed fleet, run through the
+// materialized trace and the streaming (generator-source) path. The
+// streaming run's full ClusterResult must be byte-identical to the
+// trace run's — compared by SHA-256 digest, so no result outlives its
+// run, and a parity failure aborts the benchmark — and the wall-clock
+// ratio plus memory columns land in the JSON baseline at path. A
+// positive horizon adds a streaming-only long-horizon run of that many
+// requests (never materialized: at 10M requests the trace alone would
+// hold ~10⁷ request records plus embeddings, which is the case the
+// streaming path exists for).
 func runClusterBench(path string, n, instances, horizon int) error {
 	if n <= 0 || instances <= 0 {
 		return fmt.Errorf("need positive request count and fleet size (got %d, %d)", n, instances)
@@ -145,7 +142,6 @@ func runClusterBench(path string, n, instances, horizon int) error {
 	arrivals := workload.BurstyMMPP(8 * float64(instances))
 	d := clusterBenchDataset()
 	opt := workload.OnlineOptions{Arrivals: arrivals, N: n, Seed: 42}
-	trace := workload.OnlineTrace(d, m.Cfg.SemDim, opt)
 
 	out := &clusterBenchBaseline{
 		GeneratedBy: "finemoe-bench -clusterbench",
@@ -160,62 +156,54 @@ func runClusterBench(path string, n, instances, horizon int) error {
 		Arrival:     arrivals.Name(),
 	}
 
-	measure := func(workers int, src workload.Source) ([]byte, clusterBenchRun, *cluster.Result, error) {
-		c := clusterBenchFleet(m, instances, workers)
-		run := clusterBenchRun{Workers: workers, Mode: "trace"}
+	// measure runs one fresh fleet over src and returns its row and the
+	// digest of its marshalled Result. Each run starts from a forced GC
+	// with nothing of the previous run — fleet, result, trace — still
+	// reachable, so run order does not bias the heap or wall columns.
+	measure := func(mode string, src workload.Source) (clusterBenchRun, [sha256.Size]byte, error) {
+		var sum [sha256.Size]byte
+		c := clusterBenchFleet(m, instances)
+		runtime.GC()
+		run := clusterBenchRun{Mode: mode}
 		probe := startMemProbe()
 		watch := walltime.Start()
-		var res *cluster.Result
-		if src != nil {
-			run.Mode = "stream"
-			res = c.RunStream(src)
-		} else {
-			res = c.RunTrace(trace)
-		}
+		res := c.RunStream(src)
 		run.WallMS = float64(watch.Elapsed().Microseconds()) / 1000
 		probe.stop(&run, n)
-		b, err := json.Marshal(res)
-		return b, run, res, err
+		// Identical across rows whenever the parity check passes.
+		out.Served = res.Served
+		out.FollowUps = res.FollowUps
+		out.SimulatedMS = res.WallClockMS
+		h := sha256.New()
+		if err := json.NewEncoder(h).Encode(res); err != nil {
+			return run, sum, err
+		}
+		h.Sum(sum[:0])
+		return run, sum, nil
 	}
 
-	serialBytes, serialRun, serialRes, err := measure(0, nil)
+	// The materialized trace is reachable only through its source, so it
+	// is garbage once the trace row returns.
+	serial, serialSum, err := measure("trace", workload.NewSliceSource(workload.OnlineTrace(d, m.Cfg.SemDim, opt)))
 	if err != nil {
 		return err
 	}
-	out.Served = serialRes.Served
-	out.FollowUps = serialRes.FollowUps
-	out.SimulatedMS = serialRes.WallClockMS
-	serialRun.SpeedupVsSerial = 1
-	serialRun.ByteParity = true
-	out.Runs = append(out.Runs, serialRun)
+	serial.SpeedupVsSerial = 1
+	serial.ByteParity = true
+	out.Runs = append(out.Runs, serial)
 
-	type benchCase struct {
-		workers int
-		stream  bool
+	// The streaming row: the generator path, the memory-footprint
+	// headline.
+	stream, streamSum, err := measure("stream", workload.StreamOnline(d, m.Cfg.SemDim, opt))
+	if err != nil {
+		return err
 	}
-	cases := []benchCase{{1, false}, {2, false}, {4, false}}
-	if nc := runtime.NumCPU(); nc != 1 && nc != 2 && nc != 4 {
-		cases = append(cases, benchCase{nc, false})
-	}
-	// Streaming rows: the serial generator path (the memory-footprint
-	// headline) and the widest sharded run over the same source.
-	cases = append(cases, benchCase{0, true}, benchCase{4, true})
-	for _, bc := range cases {
-		var src workload.Source
-		if bc.stream {
-			src = workload.StreamOnline(d, m.Cfg.SemDim, opt)
-		}
-		b, run, _, err := measure(bc.workers, src)
-		if err != nil {
-			return err
-		}
-		run.SpeedupVsSerial = serialRun.WallMS / run.WallMS
-		run.ByteParity = bytes.Equal(b, serialBytes)
-		out.Runs = append(out.Runs, run)
-		if !run.ByteParity {
-			return fmt.Errorf("workers=%d mode=%s: run diverged from the serial loop (%d vs %d result bytes)",
-				bc.workers, run.Mode, len(b), len(serialBytes))
-		}
+	stream.SpeedupVsSerial = serial.WallMS / stream.WallMS
+	stream.ByteParity = streamSum == serialSum
+	out.Runs = append(out.Runs, stream)
+	if !stream.ByteParity {
+		return fmt.Errorf("mode=stream: run diverged from the materialized trace run (result digest %x vs %x)",
+			streamSum[:8], serialSum[:8])
 	}
 
 	if horizon > 0 {
@@ -263,7 +251,7 @@ func (p *progressSource) Next() (workload.Request, bool) {
 // runClusterBenchHorizon runs the streaming-only long-horizon case on
 // the serial loop and reports throughput plus memory discipline.
 func runClusterBenchHorizon(m *moe.Model, d workload.Dataset, arrivals workload.ArrivalProcess, instances, horizon int) (*clusterBenchHorizon, error) {
-	c := clusterBenchFleet(m, instances, 0)
+	c := clusterBenchFleet(m, instances)
 	var src workload.Source = workload.StreamOnline(d, m.Cfg.SemDim, workload.OnlineOptions{
 		Arrivals: arrivals, N: horizon, Seed: 42,
 	})
@@ -271,6 +259,7 @@ func runClusterBenchHorizon(m *moe.Model, d workload.Dataset, arrivals workload.
 		src = &progressSource{src: src, interval: horizon / 10, watch: walltime.Start()}
 	}
 	var run clusterBenchRun
+	runtime.GC()
 	probe := startMemProbe()
 	watch := walltime.Start()
 	res := c.RunStream(src)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"runtime"
 	"testing"
 
 	"finemoe/internal/moe"
@@ -11,7 +10,7 @@ import (
 // benchFleet builds one fresh bench fleet and its trace — a scaled-down
 // cut of cmd/finemoe-bench -clusterbench (the committed BENCH_cluster.json
 // baseline runs the same shape at 32 instances and 1M requests).
-func benchFleet(workers, instances, n int) (*Cluster, []workload.Request) {
+func benchFleet(instances, n int) (*Cluster, []workload.Request) {
 	m := moe.NewModel(moe.Tiny(), 42)
 	trace := workload.OnlineTrace(workload.Dataset{
 		Name: "clusterbench", Topics: 8, TopicSpread: 0.05,
@@ -22,16 +21,18 @@ func benchFleet(workers, instances, n int) (*Cluster, []workload.Request) {
 	c := New(Options{
 		Engines: testEngines(m, instances),
 		Router:  NewLeastLoaded(),
-		Workers: workers,
 	})
 	return c, trace
 }
 
-func benchClusterLoop(b *testing.B, workers int) {
+// BenchmarkClusterLoopSerial measures the shared-clock loop; CI smokes
+// it at -benchtime 1x so harness rot is caught without paying full
+// benchmark time.
+func BenchmarkClusterLoopSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, trace := benchFleet(workers, 8, 512)
+		c, trace := benchFleet(8, 512)
 		b.StartTimer()
 		res := c.RunTrace(trace)
 		if res.Served != len(trace) {
@@ -39,17 +40,3 @@ func benchClusterLoop(b *testing.B, workers int) {
 		}
 	}
 }
-
-// BenchmarkClusterLoopSerial measures the serial shared-clock loop; CI
-// smokes it (and the sharded variants) at -benchtime 1x so harness rot is
-// caught without paying full benchmark time.
-func BenchmarkClusterLoopSerial(b *testing.B) { benchClusterLoop(b, 0) }
-
-// BenchmarkClusterLoopSharded2 measures the epoch-sharded loop at two
-// workers — byte-identical results to the serial loop, on worker
-// goroutines.
-func BenchmarkClusterLoopSharded2(b *testing.B) { benchClusterLoop(b, 2) }
-
-// BenchmarkClusterLoopShardedNumCPU measures the sharded loop at the
-// machine's parallelism.
-func BenchmarkClusterLoopShardedNumCPU(b *testing.B) { benchClusterLoop(b, runtime.NumCPU()) }

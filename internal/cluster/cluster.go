@@ -131,12 +131,6 @@ type Options struct {
 	// times before the parent's completion are clamped forward to it.
 	// Multi-turn session workloads ride on this hook (workload.Sessions).
 	FollowUp func(done serve.RequestMetrics, orig workload.Request) (workload.Request, bool)
-	// Workers selects the event-loop execution mode: <= 1 runs the serial
-	// shared-clock loop; > 1 shards instances across that many worker
-	// goroutines and advances them in deterministic epoch windows (see
-	// shard.go). Results are byte-identical across worker counts — the
-	// sharded loop executes exactly the serial event schedule.
-	Workers int
 	// FaultPlan, when non-empty, injects crashes, link brownouts and
 	// expert-load stalls at fixed shared-clock times (see internal/faults
 	// and faults.go). An empty plan leaves the run byte-identical to a
@@ -188,16 +182,6 @@ type Cluster struct {
 	injected []workload.Request
 	// followUps counts injected requests.
 	followUps int
-
-	// Sharded-loop state (Workers > 1): the worker pool, the merge-sort
-	// scratch for worker step logs, and the fleet-wide minimum iteration
-	// duration bounding how soon an epoch can produce a follow-up
-	// injection (the min of Engine.MinIterationMS across the fleet,
-	// maintained as instances join).
-	workers  int
-	pool     *shardPool
-	mergeBuf []stepRecord
-	minIter  float64
 
 	// Fault-plan state: the compiled event stream, a cursor into it, the
 	// run's fault log, applied degradation windows, and the crash count.
@@ -272,8 +256,6 @@ func New(opts Options) *Cluster {
 		nextTick:  opts.AutoscaleIntervalMS,
 		initial:   len(opts.Engines),
 		followUp:  opts.FollowUp,
-		workers:   opts.Workers,
-		minIter:   math.Inf(1),
 	}
 	if c.followUp != nil {
 		c.inFlightReqs = map[uint64]workload.Request{}
@@ -310,9 +292,6 @@ func New(opts Options) *Cluster {
 		}
 		c.instances = append(c.instances, &Instance{ID: i, Engine: e, idx: i})
 		c.evtPush(i)
-		if m := e.MinIterationMS(); m < c.minIter {
-			c.minIter = m
-		}
 	}
 	c.nextID = len(c.instances)
 	return c
@@ -419,10 +398,10 @@ func (c *Cluster) ScaleEvents() []ScaleEvent { return c.events }
 // Instances returns the fleet (shared; callers must not mutate the slice).
 // The cluster caches each engine's next event time in its event heap,
 // refreshed at exactly the points the loop itself can change it (Offer's
-// Submit, Step, grow, epoch merges); a caller that mutates an engine
-// behind this accessor in a way that moves its next event time — e.g.
-// Submit or AdvanceClock outside Offer/Step — must call SyncEvents before
-// the next Offer/Step/RunTrace/Drain, or the loop may schedule against a
+// Submit, Step, grow); a caller that mutates an engine behind this
+// accessor in a way that moves its next event time — e.g. Submit or
+// AdvanceClock outside Offer/Step — must call SyncEvents before the next
+// Offer/Step/RunTrace/Drain, or the loop may schedule against a
 // stale time.
 func (c *Cluster) Instances() []*Instance { return c.instances }
 
@@ -530,23 +509,14 @@ func (c *Cluster) FollowUps() int { return c.followUps }
 // resilience on, each completion is scheduled as a resilience event at
 // its own completion time rather than applied here: cross-instance
 // effects (hedge-loser cancellation, follow-up injection) then happen at
-// a pinned point of the shared-clock schedule, identical between the
-// serial and sharded loops. Otherwise the FollowUp hook (if any) is
-// consulted directly, as before.
+// a pinned point of the shared-clock schedule (see resilience.go).
+// Otherwise the FollowUp hook (if any) is consulted directly.
 func (c *Cluster) observeCompletions(in *Instance) {
 	if c.followUp == nil && !c.resOn {
 		return
 	}
-	c.observeCompletionsTo(in, in.Engine.CompletedCount())
-}
-
-// observeCompletionsTo is observeCompletions bounded to the
-// completion-history prefix [observed, upto): the sharded loop's merge
-// step replays each epoch's completions through it in serial event
-// order, per-step slice by per-step slice.
-func (c *Cluster) observeCompletionsTo(in *Instance, upto int) {
 	done := in.Engine.Completed()
-	for _, m := range done[in.observed:upto] {
+	for _, m := range done[in.observed:] {
 		if c.resOn {
 			c.scheduleRes(resEvent{t: m.EndMS, k: rkComplete, instIdx: int32(in.idx), m: m})
 			continue
@@ -565,7 +535,7 @@ func (c *Cluster) observeCompletionsTo(in *Instance, upto int) {
 		}
 		c.inject(fu)
 	}
-	in.observed = upto
+	in.observed = len(done)
 }
 
 // inject queues a follow-up arrival, keeping the queue sorted by arrival
@@ -618,9 +588,6 @@ func (c *Cluster) autoscale(nowMS float64) {
 		e.AdvanceClock(nowMS)
 		c.instances = append(c.instances, &Instance{ID: id, Engine: e, StartedMS: nowMS, idx: len(c.instances)})
 		c.evtPush(len(c.instances) - 1)
-		if m := e.MinIterationMS(); m < c.minIter {
-			c.minIter = m
-		}
 		c.events = append(c.events, ScaleEvent{
 			TimeMS: nowMS, Kind: "grow", Instance: id, ActiveAfter: len(fleet) + 1,
 		})
@@ -722,12 +689,10 @@ func (c *Cluster) RunTrace(trace []workload.Request) *Result {
 // drawn one at a time, so a multi-million-request horizon costs the
 // in-flight window's memory, not the trace's. The shared-clock loop only
 // ever needs the NEXT pending arrival — its time to schedule against
-// instance/fault/tick events (including the sharded loop's epoch-horizon
-// computation, which caps epochs at the next cluster-level event), and
-// its payload when the arrival wins — so a one-request lookahead cursor
-// over the source reproduces the materialized loop's event schedule
-// exactly; stream_test.go pins byte parity across every workload shape,
-// fault plan and worker count.
+// instance/fault/tick events, and its payload when the arrival wins — so
+// a one-request lookahead cursor over the source reproduces the
+// materialized loop's event schedule exactly; stream_test.go pins byte
+// parity across every workload shape and fault plan.
 func (c *Cluster) RunStream(src workload.Source) *Result {
 	c.run(src)
 	return c.Finalize()
@@ -770,15 +735,8 @@ func (k *reqCursor) pop() workload.Request {
 // run is the shared-clock loop behind RunStream/RunTrace (with a source)
 // and Drain (without): it merges source arrivals, injected follow-ups,
 // autoscale ticks and instance events until the source is exhausted, the
-// injected queue is empty, and every instance is drained. With Workers >
-// 1, windows of consecutive instance events are executed as sharded
-// parallel epochs (shard.go); cluster-level events and the
-// single-busy-instance path stay on this goroutine, so the event
-// schedule — and every result byte — is identical across worker counts.
+// injected queue is empty, and every instance is drained.
 func (c *Cluster) run(src workload.Source) {
-	if c.workers > 1 {
-		defer c.stopPool()
-	}
 	cursor := newReqCursor(src)
 	for {
 		tArr, fromTrace := cursor.peek(), true
@@ -838,35 +796,6 @@ func (c *Cluster) run(src workload.Source) {
 			c.autoscale(tTick)
 			c.nextTick += c.tickMS
 			continue
-		}
-		// Instance events strictly before every cluster-level source: a
-		// parallel epoch when at least two instances have work in the
-		// window and completion reactions provably cannot land inside it
-		// (follow-up injections and resilience completion events are
-		// pinned to their parent's completion time, which is at least one
-		// minimum iteration after the earliest pending event; a zero
-		// minimum — a device with no per-layer overhead — disables
-		// sharding rather than risking a mid-epoch event).
-		if c.workers > 1 && ((c.followUp == nil && !c.resOn) || c.minIter > 0) {
-			h := tArr
-			if tTick < h {
-				h = tTick
-			}
-			if tFault < h {
-				h = tFault
-			}
-			if tRes < h {
-				h = tRes
-			}
-			if c.followUp != nil || c.resOn {
-				if f := tInst + c.minIter; f < h {
-					h = f
-				}
-			}
-			if c.epochBusy(h) {
-				c.runEpoch(h)
-				continue
-			}
 		}
 		c.instances[which].Engine.Step(tInst)
 		c.refreshEvent(which)

@@ -34,6 +34,24 @@ func testEngines(m *moe.Model, n int) []*serve.Engine {
 	return out
 }
 
+// stagedEngines builds n engines over the three-tier HBM/DRAM/NVMe
+// hierarchy with DRAM bounded to a handful of experts, so runs are
+// staging-heavy: most fetches route through the shared staging link.
+func stagedEngines(m *moe.Model, n int) []*serve.Engine {
+	cfg := m.Cfg
+	out := make([]*serve.Engine, n)
+	for i := range out {
+		pol := core.NewFineMoE(core.NewStore(cfg, 50, 2), core.Options{})
+		out[i] = serve.New(serve.Options{
+			Model: m, GPU: testGPU(), NumGPUs: 1,
+			CacheBytes: cfg.ExpertBytes() * int64(cfg.NumExperts()/3),
+			Policy:     pol,
+			Memory:     memsim.ThreeTier(4 * cfg.ExpertBytes()),
+		})
+	}
+	return out
+}
+
 func testTrace(cfg moe.Config, n int, rate float64, seed uint64) []workload.Request {
 	d := workload.Dataset{
 		Name: "cluster-test", Topics: 6, TopicSpread: 0.05,

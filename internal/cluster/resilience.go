@@ -8,15 +8,17 @@
 // due, queued in (time, schedule-order) order and merged into the main
 // loop between fault events and arrivals (see run). Nothing is ever
 // applied at observation time: a completion observed after an engine
-// step schedules an event at the completion's own timestamp, so the
-// serial loop and the sharded epoch loop — which observes a whole
-// window's completions at the merge barrier, replayed in serial event
-// order — assign identical event sequences and stay byte-identical.
+// step schedules an event at the completion's own timestamp, so its
+// cross-instance effects (hedge-loser cancellation, follow-up injection)
+// land at a fixed point of the shared-clock schedule — ordered against
+// faults, arrivals and ticks by run's event priority — rather than
+// wherever the observing step happened to fall. The fault and scenario
+// goldens pin that schedule.
 //
 // Backoff jitter is drawn from an RNG keyed by (seed, request ID,
 // attempt) via internal/rng, never from the event interleaving, so the
 // retry timing of one request is a pure function of the policy — the
-// property the backoff determinism tests pin across worker counts.
+// property TestBackoffDeterminism pins.
 package cluster
 
 import (

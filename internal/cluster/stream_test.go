@@ -15,7 +15,7 @@ import (
 // are byte-comparable.
 type streamVariant struct {
 	name    string
-	cluster func(workers int) *Cluster
+	cluster func() *Cluster
 	trace   func() []workload.Request
 	source  func() workload.Source
 }
@@ -45,12 +45,11 @@ func streamVariants() []streamVariant {
 		opt := workload.OnlineOptions{Arrivals: sh.ap, N: 48, Seed: 5}
 		out = append(out, streamVariant{
 			name: sh.name,
-			cluster: func(workers int) *Cluster {
+			cluster: func() *Cluster {
 				m := moe.NewModel(moe.Tiny(), 11)
 				return New(Options{
 					Engines: testEngines(m, 4),
 					Router:  NewLeastLoaded(),
-					Workers: workers,
 				})
 			},
 			trace:  func() []workload.Request { return workload.OnlineTrace(d, moe.Tiny().SemDim, opt) },
@@ -68,7 +67,7 @@ func streamVariants() []streamVariant {
 		}
 		return streamVariant{
 			name: name,
-			cluster: func(workers int) *Cluster {
+			cluster: func() *Cluster {
 				m := moe.NewModel(moe.Tiny(), 7)
 				sess := mkSess()
 				opts := Options{
@@ -78,7 +77,6 @@ func streamVariants() []streamVariant {
 						return sess.FollowUp(orig, done.EndMS)
 					},
 					EngineFactory: func(id int) *serve.Engine { return testEngines(m, 1)[0] },
-					Workers:       workers,
 				}
 				if plan {
 					opts.FaultPlan = gauntletPlan()
@@ -104,13 +102,12 @@ func streamVariants() []streamVariant {
 	}
 	out = append(out, streamVariant{
 		name: "tenants",
-		cluster: func(workers int) *Cluster {
+		cluster: func() *Cluster {
 			m := moe.NewModel(moe.Tiny(), 13)
 			return New(Options{
 				Engines:   testEngines(m, 4),
 				Admission: NewTokenBucket(24, 45),
 				Router:    NewRoundRobin(),
-				Workers:   workers,
 			})
 		},
 		trace: func() []workload.Request {
@@ -124,16 +121,16 @@ func streamVariants() []streamVariant {
 	// Fault plan + full resilience over a streamed trace.
 	out = append(out, streamVariant{
 		name: "faults",
-		cluster: func(workers int) *Cluster {
-			c, _ := faultCluster(workers, fullResilience())
+		cluster: func() *Cluster {
+			c, _ := faultCluster(fullResilience())
 			return c
 		},
 		trace: func() []workload.Request {
-			_, trace := faultCluster(0, fullResilience())
+			_, trace := faultCluster(fullResilience())
 			return trace
 		},
 		source: func() workload.Source {
-			_, trace := faultCluster(0, fullResilience())
+			_, trace := faultCluster(fullResilience())
 			return workload.NewSliceSource(trace)
 		},
 	})
@@ -141,13 +138,67 @@ func streamVariants() []streamVariant {
 	// Everything at once: sessions + fault plan + resilience + growth.
 	out = append(out, sessVariant("combo", 19, true))
 
+	// Staging-heavy three-tier fleet: most fetches cross the shared
+	// staging link.
+	stagedTrace := func() []workload.Request { return testTrace(moe.Tiny(), 40, 50, 21) }
+	out = append(out, streamVariant{
+		name: "staged",
+		cluster: func() *Cluster {
+			m := moe.NewModel(moe.Tiny(), 19)
+			return New(Options{Engines: stagedEngines(m, 4), Router: NewRoundRobin()})
+		},
+		trace:  stagedTrace,
+		source: func() workload.Source { return workload.NewSliceSource(stagedTrace()) },
+	})
+
+	// Staged memory + semantic-affinity routing + queue-pressure
+	// autoscaling + closed-loop sessions over bursty openers.
+	comboSess := func() *workload.Sessions {
+		d := workload.Dataset{
+			Name: "staged-combo", Topics: 4, TopicSpread: 0.05,
+			MeanInput: 5, MeanOutput: 4, LenSigma: 0.3, Seed: 8,
+		}
+		return workload.NewSessions(d, moe.Tiny().SemDim,
+			workload.SessionConfig{MeanTurns: 2.5, ThinkTimeS: 0.03, Drift: 0.05}, 7)
+	}
+	out = append(out, streamVariant{
+		name: "staged-combo",
+		cluster: func() *Cluster {
+			m := moe.NewModel(moe.Tiny(), 29)
+			sess := comboSess()
+			return New(Options{
+				Engines: stagedEngines(m, 2),
+				Router:  NewSemanticAffinity(SemanticAffinityOptions{}),
+				Autoscaler: NewQueuePressure(QueuePressureOptions{
+					HighWatermark: 2, LowWatermark: 0.5, SustainMS: 20, CooldownMS: 40,
+				}),
+				EngineFactory:       func(id int) *serve.Engine { return stagedEngines(m, 1)[0] },
+				MinInstances:        1,
+				MaxInstances:        5,
+				AutoscaleIntervalMS: 30,
+				FollowUp: func(done serve.RequestMetrics, orig workload.Request) (workload.Request, bool) {
+					return sess.FollowUp(orig, done.EndMS)
+				},
+			})
+		},
+		trace: func() []workload.Request {
+			return comboSess().Initial(workload.BurstyMMPP(60), 18, 0)
+		},
+		source: func() workload.Source {
+			return comboSess().StreamInitial(workload.BurstyMMPP(60), 18, 0)
+		},
+	})
+
 	return out
 }
 
-// runStreamBytes runs one cell and returns the JSON-encoded result.
+// runStreamBytes runs one cell, checks that the drained fleet's
+// next-event heap agrees with a full scan, and returns the JSON-encoded
+// result.
 func runStreamBytes(t *testing.T, c *Cluster, run func(c *Cluster) *Result) []byte {
 	t.Helper()
 	res := run(c)
+	checkHeapAgainstScan(t, c)
 	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -160,24 +211,22 @@ func runStreamBytes(t *testing.T, c *Cluster, run func(c *Cluster) *Result) []by
 
 // TestRunStreamByteParity is the streaming tentpole's contract: for every
 // workload shape (all four arrival processes, closed-loop sessions,
-// multi-tenant mixes, fault plans with resilience, and the combination)
-// and every worker count in {0, 1, 2, 4}, RunStream over the generator
+// multi-tenant mixes, fault plans with resilience, staging-heavy fleets,
+// autoscaling, and their combinations), RunStream over the generator
 // source produces a ClusterResult byte-identical to RunTrace over the
-// materialized trace on the serial loop.
+// materialized trace.
 func TestRunStreamByteParity(t *testing.T) {
 	for _, v := range streamVariants() {
 		t.Run(v.name, func(t *testing.T) {
-			serial := runStreamBytes(t, v.cluster(0), func(c *Cluster) *Result {
+			want := runStreamBytes(t, v.cluster(), func(c *Cluster) *Result {
 				return c.RunTrace(v.trace())
 			})
-			for _, w := range []int{0, 1, 2, 4} {
-				got := runStreamBytes(t, v.cluster(w), func(c *Cluster) *Result {
-					return c.RunStream(v.source())
-				})
-				if string(got) != string(serial) {
-					t.Fatalf("workers=%d: streaming run diverges from materialized serial run (%d vs %d bytes)",
-						w, len(got), len(serial))
-				}
+			got := runStreamBytes(t, v.cluster(), func(c *Cluster) *Result {
+				return c.RunStream(v.source())
+			})
+			if string(got) != string(want) {
+				t.Fatalf("streaming run diverges from materialized run (%d vs %d bytes)",
+					len(got), len(want))
 			}
 		})
 	}

@@ -15,9 +15,8 @@ import (
 // injected follow-ups at the same instant. These regression tests pin the
 // tie-breaks through observable side effects — the order admission and
 // the autoscaler see events, and the fleet state each observes — because
-// epoch merging is exactly the kind of change that would silently perturb
-// them if unpinned (the sharded loop must process ties identically; every
-// test here re-runs with Workers > 1 and demands the identical log).
+// any reordering of the loop's event sources would silently perturb them
+// (and with them every golden) if unpinned.
 
 // evLog collects the observation order of one run.
 type evLog struct{ entries []string }
@@ -60,30 +59,27 @@ func tbReq(cfg moe.Config, id uint64, arrival float64) workload.Request {
 // injection at the exact same timestamp resolve toward the trace (run's
 // strict `<` on the injected head).
 func TestTieBreakTraceBeatsInjected(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		cfg := moe.Tiny()
-		m := moe.NewModel(cfg, 7)
-		log := &evLog{}
-		c := New(Options{
-			Engines:   testEngines(m, 2),
-			Admission: logAdmission{log},
-			FollowUp: func(done serve.RequestMetrics, orig workload.Request) (workload.Request, bool) {
-				if orig.ID != 1 {
-					return workload.Request{}, false
-				}
-				// Injected at exactly the second trace arrival's time.
-				return tbReq(cfg, 99, 5000), true
-			},
-			Workers: workers,
-		})
-		res := c.RunTrace([]workload.Request{tbReq(cfg, 1, 0), tbReq(cfg, 2, 5000)})
-		if res.FollowUps != 1 || res.Served != 3 {
-			t.Fatalf("workers=%d: follow-ups %d served %d, want 1/3", workers, res.FollowUps, res.Served)
-		}
-		want := []string{"arrival:1@0", "arrival:2@5000", "arrival:99@5000"}
-		if !reflect.DeepEqual(log.entries, want) {
-			t.Fatalf("workers=%d: admission order %v, want %v", workers, log.entries, want)
-		}
+	cfg := moe.Tiny()
+	m := moe.NewModel(cfg, 7)
+	log := &evLog{}
+	c := New(Options{
+		Engines:   testEngines(m, 2),
+		Admission: logAdmission{log},
+		FollowUp: func(done serve.RequestMetrics, orig workload.Request) (workload.Request, bool) {
+			if orig.ID != 1 {
+				return workload.Request{}, false
+			}
+			// Injected at exactly the second trace arrival's time.
+			return tbReq(cfg, 99, 5000), true
+		},
+	})
+	res := c.RunTrace([]workload.Request{tbReq(cfg, 1, 0), tbReq(cfg, 2, 5000)})
+	if res.FollowUps != 1 || res.Served != 3 {
+		t.Fatalf("follow-ups %d served %d, want 1/3", res.FollowUps, res.Served)
+	}
+	want := []string{"arrival:1@0", "arrival:2@5000", "arrival:99@5000"}
+	if !reflect.DeepEqual(log.entries, want) {
+		t.Fatalf("admission order %v, want %v", log.entries, want)
 	}
 }
 
@@ -91,34 +87,31 @@ func TestTieBreakTraceBeatsInjected(t *testing.T) {
 // same timestamp process arrival-first, so the tick's fleet view includes
 // the just-offered request.
 func TestTieBreakArrivalBeatsTick(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		cfg := moe.Tiny()
-		m := moe.NewModel(cfg, 7)
-		log := &evLog{}
-		c := New(Options{
-			Engines:             testEngines(m, 2),
-			Admission:           logAdmission{log},
-			Autoscaler:          logScaler{log},
-			EngineFactory:       func(id int) *serve.Engine { return testEngines(m, 1)[0] },
-			AutoscaleIntervalMS: 500,
-			Workers:             workers,
-		})
-		// A single arrival at exactly the first tick time. Arrival first
-		// means the routed request is visible (queued or in flight) when
-		// the tick fires; the engine's own event at 500 runs after the
-		// tick, so the request cannot yet have been admitted to a batch —
-		// the tick must observe queue depth 1.
-		res := c.RunTrace([]workload.Request{tbReq(cfg, 1, 500)})
-		if res.Served != 1 {
-			t.Fatalf("workers=%d: served %d, want 1", workers, res.Served)
-		}
-		if len(log.entries) < 2 {
-			t.Fatalf("workers=%d: too few observations: %v", workers, log.entries)
-		}
-		want := []string{"arrival:1@500", "tick@500 depth=1"}
-		if !reflect.DeepEqual(log.entries[:2], want) {
-			t.Fatalf("workers=%d: order %v, want prefix %v", workers, log.entries[:2], want)
-		}
+	cfg := moe.Tiny()
+	m := moe.NewModel(cfg, 7)
+	log := &evLog{}
+	c := New(Options{
+		Engines:             testEngines(m, 2),
+		Admission:           logAdmission{log},
+		Autoscaler:          logScaler{log},
+		EngineFactory:       func(id int) *serve.Engine { return testEngines(m, 1)[0] },
+		AutoscaleIntervalMS: 500,
+	})
+	// A single arrival at exactly the first tick time. Arrival first
+	// means the routed request is visible (queued or in flight) when
+	// the tick fires; the engine's own event at 500 runs after the
+	// tick, so the request cannot yet have been admitted to a batch —
+	// the tick must observe queue depth 1.
+	res := c.RunTrace([]workload.Request{tbReq(cfg, 1, 500)})
+	if res.Served != 1 {
+		t.Fatalf("served %d, want 1", res.Served)
+	}
+	if len(log.entries) < 2 {
+		t.Fatalf("too few observations: %v", log.entries)
+	}
+	want := []string{"arrival:1@500", "tick@500 depth=1"}
+	if !reflect.DeepEqual(log.entries[:2], want) {
+		t.Fatalf("order %v, want prefix %v", log.entries[:2], want)
 	}
 }
 
@@ -128,36 +121,33 @@ func TestTieBreakArrivalBeatsTick(t *testing.T) {
 // pending head is planted through the external Submit path and the heap
 // re-synced via SyncEvents, which also pins that repair API's contract.
 func TestTieBreakTickBeatsInstance(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		cfg := moe.Tiny()
-		m := moe.NewModel(cfg, 7)
-		log := &evLog{}
-		c := New(Options{
-			Engines:             testEngines(m, 2),
-			Autoscaler:          logScaler{log},
-			EngineFactory:       func(id int) *serve.Engine { return testEngines(m, 1)[0] },
-			AutoscaleIntervalMS: 500,
-			Workers:             workers,
-		})
-		// Plant a pending arrival at exactly the tick time behind the
-		// cluster's back, then repair the heap.
-		in := c.Instances()[0]
-		in.Engine.Submit(tbReq(cfg, 1, 500))
-		c.SyncEvents()
-		if tm, which := c.nextInstanceEvent(); tm != 500 || which != 0 {
-			t.Fatalf("workers=%d: heap after SyncEvents = (%v, %d), want (500, 0)", workers, tm, which)
-		}
-		wall := c.Drain()
-		if wall <= 500 {
-			t.Fatalf("workers=%d: drain wall %v never passed the planted event", workers, wall)
-		}
-		if len(log.entries) == 0 {
-			t.Fatalf("workers=%d: no tick observed", workers)
-		}
-		// Tick at 500 fires before the instance admits at 500: depth 1.
-		if log.entries[0] != "tick@500 depth=1" {
-			t.Fatalf("workers=%d: first tick %q, want tick@500 depth=1", workers, log.entries[0])
-		}
+	cfg := moe.Tiny()
+	m := moe.NewModel(cfg, 7)
+	log := &evLog{}
+	c := New(Options{
+		Engines:             testEngines(m, 2),
+		Autoscaler:          logScaler{log},
+		EngineFactory:       func(id int) *serve.Engine { return testEngines(m, 1)[0] },
+		AutoscaleIntervalMS: 500,
+	})
+	// Plant a pending arrival at exactly the tick time behind the
+	// cluster's back, then repair the heap.
+	in := c.Instances()[0]
+	in.Engine.Submit(tbReq(cfg, 1, 500))
+	c.SyncEvents()
+	if tm, which := c.nextInstanceEvent(); tm != 500 || which != 0 {
+		t.Fatalf("heap after SyncEvents = (%v, %d), want (500, 0)", tm, which)
+	}
+	wall := c.Drain()
+	if wall <= 500 {
+		t.Fatalf("drain wall %v never passed the planted event", wall)
+	}
+	if len(log.entries) == 0 {
+		t.Fatal("no tick observed")
+	}
+	// Tick at 500 fires before the instance admits at 500: depth 1.
+	if log.entries[0] != "tick@500 depth=1" {
+		t.Fatalf("first tick %q, want tick@500 depth=1", log.entries[0])
 	}
 }
 
@@ -165,48 +155,40 @@ func TestTieBreakTickBeatsInstance(t *testing.T) {
 // injection, an autoscale tick and an instance event all at the same
 // timestamp resolve trace-arrival → injected-arrival → tick → instance.
 func TestTieBreakThreeWayCoincidence(t *testing.T) {
-	logs := map[int][]string{}
-	for _, workers := range []int{0, 3} {
-		cfg := moe.Tiny()
-		m := moe.NewModel(cfg, 7)
-		log := &evLog{}
-		c := New(Options{
-			Engines:             stagedEngines(m, 2),
-			Admission:           logAdmission{log},
-			Autoscaler:          logScaler{log},
-			EngineFactory:       func(id int) *serve.Engine { return stagedEngines(m, 1)[0] },
-			AutoscaleIntervalMS: 500,
-			FollowUp: func(done serve.RequestMetrics, orig workload.Request) (workload.Request, bool) {
-				if orig.ID != 1 {
-					return workload.Request{}, false
-				}
-				return tbReq(cfg, 99, 500), true
-			},
-			Workers: workers,
-		})
-		// Plant an instance event at 500 on the highest instance (kept
-		// clear of routing by the default round-robin starting at 0).
-		c.Instances()[1].Engine.Submit(tbReq(cfg, 50, 500))
-		c.SyncEvents()
-		res := c.RunTrace([]workload.Request{tbReq(cfg, 1, 0), tbReq(cfg, 2, 500)})
-		if res.FollowUps != 1 {
-			t.Fatalf("workers=%d: follow-ups %d, want 1", workers, res.FollowUps)
-		}
-		// Trace arrival then injected arrival then tick, all at 500; the
-		// planted request (and arrivals routed at 500) still queued when
-		// the tick observes the fleet.
-		want := []string{"arrival:1@0", "arrival:2@500", "arrival:99@500"}
-		got := log.entries[:3]
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: arrival order %v, want %v", workers, got, want)
-		}
-		tick := log.entries[3]
-		if tick != "tick@500 depth=3" {
-			t.Fatalf("workers=%d: tick observation %q, want tick@500 depth=3 (arrivals and planted request pre-step)", workers, tick)
-		}
-		logs[workers] = append([]string(nil), log.entries...)
+	cfg := moe.Tiny()
+	m := moe.NewModel(cfg, 7)
+	log := &evLog{}
+	c := New(Options{
+		Engines:             stagedEngines(m, 2),
+		Admission:           logAdmission{log},
+		Autoscaler:          logScaler{log},
+		EngineFactory:       func(id int) *serve.Engine { return stagedEngines(m, 1)[0] },
+		AutoscaleIntervalMS: 500,
+		FollowUp: func(done serve.RequestMetrics, orig workload.Request) (workload.Request, bool) {
+			if orig.ID != 1 {
+				return workload.Request{}, false
+			}
+			return tbReq(cfg, 99, 500), true
+		},
+	})
+	// Plant an instance event at 500 on the highest instance (kept
+	// clear of routing by the default round-robin starting at 0).
+	c.Instances()[1].Engine.Submit(tbReq(cfg, 50, 500))
+	c.SyncEvents()
+	res := c.RunTrace([]workload.Request{tbReq(cfg, 1, 0), tbReq(cfg, 2, 500)})
+	if res.FollowUps != 1 {
+		t.Fatalf("follow-ups %d, want 1", res.FollowUps)
 	}
-	if !reflect.DeepEqual(logs[0], logs[3]) {
-		t.Fatalf("sharded coincidence log diverges from serial:\n%v\nvs\n%v", logs[3], logs[0])
+	// Trace arrival then injected arrival then tick, all at 500; the
+	// planted request (and arrivals routed at 500) still queued when
+	// the tick observes the fleet.
+	want := []string{"arrival:1@0", "arrival:2@500", "arrival:99@500"}
+	got := log.entries[:3]
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("arrival order %v, want %v", got, want)
+	}
+	tick := log.entries[3]
+	if tick != "tick@500 depth=3" {
+		t.Fatalf("tick observation %q, want tick@500 depth=3 (arrivals and planted request pre-step)", tick)
 	}
 }

@@ -60,10 +60,9 @@ type FineMoE struct {
 	// All mutable policy state below is guarded by the engine's
 	// single-threaded hook discipline, not a lock: an Engine steps its
 	// policy from one goroutine at a time (httpserve serializes each
-	// instance behind its own mutex; the sharded cluster hands engines
-	// between workers through channels, which order the accesses), and
-	// the cache calls Score back on the same hook path. A FineMoE
-	// instance is never shared across engines.
+	// instance behind its own mutex; the cluster loop steps every engine
+	// from its single goroutine), and the cache calls Score back on the
+	// same hook path. A FineMoE instance is never shared across engines.
 	//
 	// reqs tracks per-request iteration state (trajectory cursors).
 	reqs map[uint64]*reqState

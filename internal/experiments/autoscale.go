@@ -44,7 +44,6 @@ func autoscaledCluster(c *Context, cfg moe.Config) *cluster.Cluster {
 		MinInstances:        1,
 		MaxInstances:        autoscaleMax,
 		AutoscaleIntervalMS: 25,
-		Workers:             c.ClusterWorkers,
 	})
 }
 
@@ -77,7 +76,6 @@ func autoscaleRun(c *Context, cfg moe.Config, trace []workload.Request, fixed in
 			Engines:   clusterEngines(c, cfg, fixed),
 			Admission: cluster.NewAlwaysAdmit(),
 			Router:    cluster.NewLeastLoaded(),
-			Workers:   c.ClusterWorkers,
 		})
 	} else {
 		cl = autoscaledCluster(c, cfg)

@@ -103,7 +103,6 @@ func runClusterFig(c *Context) (*Output, error) {
 			Engines:   clusterEngines(c, cfg, clusterInstances),
 			Admission: cluster.NewAlwaysAdmit(),
 			Router:    routers[j.router].mk(),
-			Workers:   c.ClusterWorkers,
 		})
 		results[i] = cl.RunTrace(j.trace)
 	})

@@ -78,12 +78,6 @@ type Context struct {
 	// byte-identical regardless of the value — runs are independent and
 	// rows are emitted in sweep order.
 	Workers int
-	// ClusterWorkers shards the event loop inside each simulated fleet
-	// (cluster.Options.Workers): <= 1 runs the serial shared-clock loop,
-	// > 1 the epoch-sharded loop. Orthogonal to Workers — one parallelizes
-	// across independent runs, the other within a run — and equally
-	// invisible in the output: tables are byte-identical at every setting.
-	ClusterWorkers int
 
 	mu     sync.Mutex
 	models map[string]*moe.Model

@@ -95,9 +95,8 @@ func scenarioRunner(c *Context) *scenarios.Runner {
 		GPU:   c.GPU, NumGPUs: c.NumGPUs,
 		StoreCapacity: c.Scale.StoreCapacity,
 		MaxInput:      c.Scale.MaxInput, MaxOutput: c.Scale.MaxOutput,
-		Seed:           c.Seed,
-		Workers:        c.Workers,
-		ClusterWorkers: c.ClusterWorkers,
+		Seed:    c.Seed,
+		Workers: c.Workers,
 	})
 }
 

@@ -139,6 +139,9 @@ func (p *Plan) Validate() error {
 		return nil
 	}
 	for i, c := range p.Crashes {
+		if !finite(c.AtMS, c.DetectMS) {
+			return fmt.Errorf("faults: crash %d: non-finite time", i)
+		}
 		if c.AtMS < 0 || c.DetectMS < 0 {
 			return fmt.Errorf("faults: crash %d: negative time", i)
 		}
@@ -147,6 +150,9 @@ func (p *Plan) Validate() error {
 		}
 	}
 	for i, b := range p.Brownouts {
+		if !finite(b.AtMS, b.DurationMS, b.Factor) {
+			return fmt.Errorf("faults: brownout %d: non-finite window or factor", i)
+		}
 		if b.AtMS < 0 || b.DurationMS <= 0 {
 			return fmt.Errorf("faults: brownout %d: non-positive window", i)
 		}
@@ -158,6 +164,9 @@ func (p *Plan) Validate() error {
 		}
 	}
 	for i, s := range p.Stalls {
+		if !finite(s.AtMS, s.DurationMS) {
+			return fmt.Errorf("faults: stall %d: non-finite window", i)
+		}
 		if s.AtMS < 0 || s.DurationMS <= 0 {
 			return fmt.Errorf("faults: stall %d: non-positive window", i)
 		}
@@ -166,6 +175,19 @@ func (p *Plan) Validate() error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether every value is a real number. The range checks
+// in Validate are ordered comparisons, which NaN passes silently, and an
+// infinite time or window would schedule an event the shared-clock loop
+// never reaches.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Event is one compiled fault occurrence, ready for the shared-clock

@@ -84,6 +84,32 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestParsePlanRejectsNonFinite: NaN and ±Inf pass every ordered range
+// check, so Validate must reject them explicitly — before they reach the
+// cluster loop, where a NaN crash time would panic, a NaN brownout factor
+// would lose requests, and the same factor under resilience would never
+// terminate.
+func TestParsePlanRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"crash@NaN:i0", false},
+		{"stall@NaN+100:pcie", false},
+		{"crash@100:i0:dNaN", false},
+		{"brownout@100+500:pcie:xNaN", false},
+		{"crash@Inf:i0", false},
+		{"brownout@100+Inf:pcie:x0.5", false},
+		{"stall@100+100:pcie", true},
+		{"crash@100:i0:d50, brownout@100+500:pcie:x0.5", true},
+	} {
+		_, err := ParsePlan(tc.spec)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParsePlan(%q): err = %v, want ok=%v", tc.spec, err, tc.ok)
+		}
+	}
+}
+
 func TestParsePlan(t *testing.T) {
 	p, err := ParsePlan("crash@5000:i1:d250, brownout@2000+3000:staging:x0.25:i0, stall@1000+200:pcie")
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"finemoe/internal/workload"
 )
 
-// S4 steady-state allocation guards. The sharded cluster loop multiplies
+// S4 steady-state allocation guards. The cluster loop multiplies
 // Engine.Step across 32+ instances and a million requests; a single
 // per-iteration allocation reappears as gigabytes of garbage at that
 // scale. These tests pin the contract the finemoe-lint hotalloc analyzer

@@ -757,33 +757,6 @@ func (e *Engine) Drain() float64 {
 	return e.now
 }
 
-// AdvanceUntil processes every event strictly before horizon and returns
-// the number of steps taken. It is the epoch-bounded drain of the sharded
-// cluster loop: a sequence of Step(t) calls at t = NextEventTime() while
-// t < horizon, so the resulting engine state is byte-identical to the
-// serial per-event schedule. Like Step, iterations are atomic in virtual
-// time — the clock may overshoot horizon, but no event at or after horizon
-// is started.
-//
-//finemoe:hotpath
-func (e *Engine) AdvanceUntil(horizon float64) int {
-	steps := 0
-	for e.NextEventTime() < horizon && e.step() {
-		steps++
-	}
-	return steps
-}
-
-// MinIterationMS is a lower bound on the virtual duration of any single
-// iteration on this engine: every layer pays at least the device's
-// per-layer framework overhead, and every other term (reads, FLOPs, loads,
-// policy delays) is non-negative. The sharded cluster loop uses it to
-// bound how soon a request completed inside an epoch can inject a
-// follow-up arrival.
-func (e *Engine) MinIterationMS() float64 {
-	return float64(e.cfg.Layers) * e.opts.GPU.PerLayerOverheadMS
-}
-
 // Finalize aggregates everything served so far into a Result.
 func (e *Engine) Finalize() *Result {
 	return e.finalize(e.completed, e.now)
