@@ -14,8 +14,11 @@
 //	     admission rejections, hit rates, store state
 //	GET  /v1/config
 //	  -> model, testbed, fleet and policy configuration
+//	POST /v1/faults    {"instance": 1, "action": "crash"}
+//	  -> crash a replica in place, or "restore" it with a cold restart
 //	GET  /healthz
-//	  -> liveness
+//	  -> per-replica health (healthy/degraded/crashed/draining); 200 while
+//	     at least one replica is routable, 503 "unavailable" when none is
 //
 // Usage:
 //
@@ -44,9 +47,12 @@
 // With -replay N the server does not listen at all: it generates N
 // synthetic requests on the arrival process named by -arrival (poisson,
 // mmpp, diurnal, flash — see internal/workload presets) at -arrival-rate
-// req/s, replays them through the same admission → routing → instance
-// pipeline the HTTP path uses, prints the scenario report, and exits —
-// a one-command load rehearsal for a fleet configuration:
+// req/s, replays them through the simulated cluster (scenarios.Runner
+// driving cluster.Cluster with the same model, fleet and policy flags;
+// the HTTP path runs its own fleet code in internal/httpserve), prints
+// the scenario report, and exits — a one-command load rehearsal for a
+// fleet configuration. An -arrival-rate that is not finite and > 0 exits
+// 2 with an error:
 //
 //	finemoe-serve -model tiny -instances 2 -router semantic -autoscale \
 //	  -replay 64 -arrival mmpp -arrival-rate 8

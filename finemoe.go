@@ -153,9 +153,14 @@ func AzureTrace(d Dataset, dim int, tc TraceConfig) []Request {
 	return workload.AzureTrace(d, dim, tc)
 }
 
-// ArrivalProcess generates an online trace's arrival timeline; PoissonArrivals,
+// ArrivalProcess generates an online trace's arrival timeline: Stream(seed)
+// returns the seeded timeline as an ArrivalStream. PoissonArrivals,
 // MMPPArrivals, DiurnalArrivals and FlashCrowdArrivals implement it.
 type ArrivalProcess = workload.ArrivalProcess
+
+// ArrivalStream yields an arrival timeline one millisecond timestamp per
+// Next call, in non-decreasing order.
+type ArrivalStream = workload.ArrivalStream
 
 // PoissonArrivals is the constant-rate memoryless process (the paper's §6.3).
 type PoissonArrivals = workload.Poisson

@@ -577,19 +577,9 @@ func (c *Cluster) autoscale(nowMS float64) {
 		if len(fleet) >= c.maxInst {
 			break
 		}
-		id := c.nextID
-		c.nextID++
-		e := c.factory(id)
-		if e == nil {
-			panic("cluster: EngineFactory returned nil engine")
-		}
-		// Align the fresh engine's clock with the fleet so its requests
-		// are not timestamped in its pre-spawn past.
-		e.AdvanceClock(nowMS)
-		c.instances = append(c.instances, &Instance{ID: id, Engine: e, StartedMS: nowMS, idx: len(c.instances)})
-		c.evtPush(len(c.instances) - 1)
+		in := c.spawn(nowMS)
 		c.events = append(c.events, ScaleEvent{
-			TimeMS: nowMS, Kind: "grow", Instance: id, ActiveAfter: len(fleet) + 1,
+			TimeMS: nowMS, Kind: "grow", Instance: in.ID, ActiveAfter: len(fleet) + 1,
 		})
 		applied = true
 	case Shrink:
@@ -606,6 +596,23 @@ func (c *Cluster) autoscale(nowMS float64) {
 		applied = true
 	}
 	NotifyDecision(c.scaler, d, applied)
+}
+
+// spawn starts a fresh cold-store instance from the factory at t and
+// schedules it. The engine's clock is aligned with the fleet so its
+// requests are not timestamped in its pre-spawn past.
+func (c *Cluster) spawn(t float64) *Instance {
+	id := c.nextID
+	c.nextID++
+	e := c.factory(id)
+	if e == nil {
+		panic("cluster: EngineFactory returned nil engine")
+	}
+	e.AdvanceClock(t)
+	in := &Instance{ID: id, Engine: e, StartedMS: t, idx: len(c.instances)}
+	c.instances = append(c.instances, in)
+	c.evtPush(in.idx)
+	return in
 }
 
 // nextInstanceEvent returns the earliest per-instance event time and its

@@ -134,22 +134,14 @@ func (c *Cluster) strandedRequest(req workload.Request, in *Instance, t float64)
 }
 
 // spawnReplacement grows the fleet by one cold-store instance in
-// reaction to a detected crash, reusing the autoscaler's grow path and
-// bookkeeping (ScaleEvent kind "replace").
+// reaction to a detected crash: the autoscaler's spawn path, recorded
+// as ScaleEvent kind "replace".
 func (c *Cluster) spawnReplacement(t float64) {
-	id := c.nextID
-	c.nextID++
-	e := c.factory(id)
-	if e == nil {
-		panic("cluster: EngineFactory returned nil engine")
-	}
-	e.AdvanceClock(t)
-	c.instances = append(c.instances, &Instance{ID: id, Engine: e, StartedMS: t, idx: len(c.instances)})
-	c.evtPush(len(c.instances) - 1)
+	in := c.spawn(t)
 	c.events = append(c.events, ScaleEvent{
-		TimeMS: t, Kind: "replace", Instance: id, ActiveAfter: c.ActiveSize(),
+		TimeMS: t, Kind: "replace", Instance: in.ID, ActiveAfter: c.ActiveSize(),
 	})
-	c.logFault(t, "replace", id)
+	c.logFault(t, "replace", in.ID)
 }
 
 // applyLinkFault applies a brownout, restore or stall to its target set:

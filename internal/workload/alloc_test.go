@@ -14,7 +14,7 @@ func TestArrivalStreamZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	for name, p := range streamShapes() {
-		s := p.(ArrivalStreamer).Stream(7)
+		s := p.Stream(7)
 		var sink float64
 		got := testing.AllocsPerRun(2000, func() { sink = s.Next() })
 		if got != 0 {

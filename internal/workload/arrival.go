@@ -9,19 +9,31 @@ package workload
 import (
 	"fmt"
 	"math"
-
-	"finemoe/internal/rng"
 )
 
 // ArrivalProcess generates the arrival timeline of an online trace.
-// Implementations must be deterministic: the same (n, seed) always yields
-// the same times, and times are non-decreasing starting after 0.
+// Implementations must be deterministic: the same seed always yields the
+// same times, and times are non-decreasing starting after 0. Every shape
+// is generated incrementally (stream.go); a materialized timeline is just
+// the first n values of its stream.
 type ArrivalProcess interface {
 	// Name identifies the process in reports and flags.
 	Name() string
-	// Times returns the first n arrival times in milliseconds.
-	Times(n int, seed uint64) []float64
+	// Stream returns the process's arrival timeline seeded by seed. It
+	// panics on invalid parameters.
+	Stream(seed uint64) ArrivalStream
 }
+
+// ArrivalStream yields an arrival timeline one time at a time: Next
+// returns the process's next arrival time in milliseconds.
+type ArrivalStream interface {
+	Next() float64
+}
+
+// positive reports whether a rate or duration is finite and > 0; NaN
+// fails, so a NaN parameter is rejected rather than stalling a generator
+// whose loop exit never fires.
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 // Poisson is the constant-rate memoryless process of the paper's Azure
 // trace: exponential inter-arrival gaps at RatePerSec.
@@ -35,21 +47,6 @@ func (p Poisson) Name() string { return "poisson" }
 
 // MeanRate returns the process's long-run arrival rate.
 func (p Poisson) MeanRate() float64 { return p.RatePerSec }
-
-// Times implements ArrivalProcess.
-func (p Poisson) Times(n int, seed uint64) []float64 {
-	if p.RatePerSec <= 0 {
-		panic("workload: non-positive arrival rate")
-	}
-	r := rng.New(seed)
-	out := make([]float64, n)
-	var t float64
-	for i := range out {
-		t += r.Exp(p.RatePerSec) * 1000
-		out[i] = t
-	}
-	return out
-}
 
 // MMPP is a two-state Markov-modulated Poisson process: traffic alternates
 // between a background state and a burst state, each holding for an
@@ -70,41 +67,6 @@ func (m MMPP) Name() string { return "mmpp" }
 // weighted by the fraction of time spent in each state.
 func (m MMPP) MeanRate() float64 {
 	return (m.LowRate*m.MeanLowS + m.HighRate*m.MeanHighS) / (m.MeanLowS + m.MeanHighS)
-}
-
-// Times implements ArrivalProcess. The process starts in the low state;
-// state switches and arrivals are competing exponentials, resolved by
-// memorylessness.
-func (m MMPP) Times(n int, seed uint64) []float64 {
-	if m.LowRate <= 0 || m.HighRate <= 0 || m.MeanLowS <= 0 || m.MeanHighS <= 0 {
-		panic(fmt.Sprintf("workload: invalid MMPP %+v", m))
-	}
-	r := rng.New(seed)
-	out := make([]float64, 0, n)
-	var t float64 // seconds
-	high := false
-	holdLeft := r.Exp(1 / m.MeanLowS)
-	for len(out) < n {
-		rate := m.LowRate
-		if high {
-			rate = m.HighRate
-		}
-		gap := r.Exp(rate)
-		if gap < holdLeft {
-			t += gap
-			holdLeft -= gap
-			out = append(out, t*1000)
-			continue
-		}
-		t += holdLeft
-		high = !high
-		mean := m.MeanLowS
-		if high {
-			mean = m.MeanHighS
-		}
-		holdLeft = r.Exp(1 / mean)
-	}
-	return out
 }
 
 // Diurnal is a sinusoidally rate-modulated Poisson process standing in for
@@ -131,14 +93,6 @@ func (d Diurnal) rate(tS float64) float64 {
 	return d.BaseRatePerSec * (1 + d.Amplitude*math.Sin(2*math.Pi*tS/d.PeriodS))
 }
 
-// Times implements ArrivalProcess.
-func (d Diurnal) Times(n int, seed uint64) []float64 {
-	if d.BaseRatePerSec <= 0 || d.Amplitude < 0 || d.Amplitude >= 1 || d.PeriodS <= 0 {
-		panic(fmt.Sprintf("workload: invalid Diurnal %+v", d))
-	}
-	return thin(n, seed, d.BaseRatePerSec*(1+d.Amplitude), d.rate)
-}
-
 // FlashCrowd is a step spike with exponential decay: background Poisson
 // traffic until SpikeAtS, then an instantaneous jump to SpikeMult× the
 // base rate relaxing back with time constant DecayS — the serverless
@@ -163,41 +117,6 @@ func (f FlashCrowd) rate(tS float64) float64 {
 		return f.BaseRatePerSec
 	}
 	return f.BaseRatePerSec * (1 + (f.SpikeMult-1)*math.Exp(-(tS-f.SpikeAtS)/f.DecayS))
-}
-
-// Times implements ArrivalProcess.
-func (f FlashCrowd) Times(n int, seed uint64) []float64 {
-	if f.BaseRatePerSec <= 0 || f.SpikeMult <= 1 || f.SpikeAtS < 0 || f.DecayS <= 0 {
-		panic(fmt.Sprintf("workload: invalid FlashCrowd %+v", f))
-	}
-	return thin(n, seed, f.BaseRatePerSec*f.SpikeMult, f.rate)
-}
-
-// thin generates n arrivals of an inhomogeneous Poisson process with
-// instantaneous rate rate(tS) ≤ rateMax by thinning: candidate arrivals at
-// the constant envelope rate are kept with probability rate/rateMax.
-//
-// The clock is a Kahan-compensated sum of the exponential gaps. A naive
-// running sum drifts by O(n·ε) over n candidates — at million-request
-// horizons that is enough to flip thinning decisions near the acceptance
-// boundary and shift the rate() phase every process downstream replays,
-// so the accumulated time would depend on summation order rather than on
-// the gap stream alone. Compensation keeps the clock within one rounding
-// of the exact prefix sum regardless of horizon.
-func thin(n int, seed uint64, rateMax float64, rate func(tS float64) float64) []float64 {
-	r := rng.New(seed)
-	out := make([]float64, 0, n)
-	var t, comp float64 // seconds; comp carries the low-order error term
-	for len(out) < n {
-		y := r.Exp(rateMax) - comp
-		sum := t + y
-		comp = (sum - t) - y
-		t = sum
-		if r.Float64()*rateMax <= rate(t) {
-			out = append(out, t*1000)
-		}
-	}
-	return out
 }
 
 // --- rate-parameterized presets ---------------------------------------------
@@ -243,6 +162,9 @@ func FlashSpike(ratePerSec float64) FlashCrowd {
 // ArrivalByName resolves a process name (as used by -arrival flags and
 // scenario specs) to a preset at the given mean rate.
 func ArrivalByName(name string, ratePerSec float64) (ArrivalProcess, error) {
+	if !positive(ratePerSec) {
+		return nil, fmt.Errorf("workload: arrival rate %v must be finite and > 0", ratePerSec)
+	}
 	switch name {
 	case "poisson", "":
 		return Poisson{RatePerSec: ratePerSec}, nil
@@ -312,20 +234,8 @@ type OnlineOptions struct {
 }
 
 // OnlineTrace samples an online trace: dataset prompts with arrival times
-// drawn from the configured process and sampled token lengths.
+// drawn from the configured process and sampled token lengths. It is the
+// materialized form of StreamOnline.
 func OnlineTrace(d Dataset, dim int, opt OnlineOptions) []Request {
-	if opt.Arrivals == nil {
-		panic("workload: OnlineTrace requires an ArrivalProcess")
-	}
-	base := opt.IDBase
-	if base == 0 {
-		base = 1 << 32
-	}
-	reqs := d.Sample(Options{Dim: dim, N: opt.N, Seed: opt.Seed, IDBase: base})
-	times := opt.Arrivals.Times(opt.N, rng.Mix(d.Seed, opt.Seed, arrivalSalt))
-	for i := range reqs {
-		reqs[i].ArrivalMS = times[i]
-		reqs[i].Tenant = opt.Tenant
-	}
-	return reqs
+	return Collect(StreamOnline(d, dim, opt))
 }

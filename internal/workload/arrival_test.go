@@ -21,12 +21,22 @@ func testProcesses() []ArrivalProcess {
 	}
 }
 
+// arrivalTimes drains the first n arrivals of p's stream.
+func arrivalTimes(p ArrivalProcess, n int, seed uint64) []float64 {
+	s := p.Stream(seed)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = s.Next()
+	}
+	return out
+}
+
 // TestArrivalTimesNonDecreasing: every process's timeline is
 // non-decreasing and strictly positive, across seeds.
 func TestArrivalTimesNonDecreasing(t *testing.T) {
 	for _, ap := range testProcesses() {
 		f := func(seed uint64) bool {
-			times := ap.Times(200, seed)
+			times := arrivalTimes(ap, 200, seed)
 			if len(times) != 200 {
 				return false
 			}
@@ -62,7 +72,7 @@ func TestArrivalMeanRate(t *testing.T) {
 		{BurstyMMPP(4), BurstyMMPP(4).MeanRate()},
 		{DiurnalSwing(4), DiurnalSwing(4).MeanRate()},
 	} {
-		got := empiricalRate(tc.ap.Times(n, 17))
+		got := empiricalRate(arrivalTimes(tc.ap, n, 17))
 		if math.Abs(got-tc.want)/tc.want > 0.1 {
 			t.Errorf("%s: empirical rate %.2f, want ~%.2f", tc.ap.Name(), got, tc.want)
 		}
@@ -83,7 +93,7 @@ func TestFlashCrowdSpike(t *testing.T) {
 	var spike, background float64
 	const seeds = 10
 	for seed := uint64(0); seed < seeds; seed++ {
-		for _, x := range f.Times(2000, seed) {
+		for _, x := range arrivalTimes(f, 2000, seed) {
 			tS := x / 1000
 			switch {
 			case tS >= f.SpikeAtS && tS < f.SpikeAtS+f.DecayS:
@@ -106,7 +116,7 @@ func TestFlashCrowdSpike(t *testing.T) {
 	}
 	// Long-run: the spike's extra mass washes out, so the empirical rate
 	// relaxes to the background rate.
-	got := empiricalRate(f.Times(5000, 21))
+	got := empiricalRate(arrivalTimes(f, 5000, 21))
 	if math.Abs(got-f.BaseRatePerSec)/f.BaseRatePerSec > 0.15 {
 		t.Errorf("long-run flash-crowd rate %.2f, want ~%.2f", got, f.BaseRatePerSec)
 	}
@@ -116,14 +126,14 @@ func TestFlashCrowdSpike(t *testing.T) {
 // byte-identically; a different seed does not.
 func TestArrivalDeterminism(t *testing.T) {
 	for _, ap := range testProcesses() {
-		a := ap.Times(500, 42)
-		b := ap.Times(500, 42)
+		a := arrivalTimes(ap, 500, 42)
+		b := arrivalTimes(ap, 500, 42)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: times diverge at %d for equal seeds", ap.Name(), i)
 			}
 		}
-		c := ap.Times(500, 43)
+		c := arrivalTimes(ap, 500, 43)
 		same := true
 		for i := range a {
 			if a[i] != c[i] {
@@ -137,33 +147,30 @@ func TestArrivalDeterminism(t *testing.T) {
 	}
 }
 
-// TestThinLongHorizonAccuracy: thin's compensated clock stays within a
-// rounding of the exact (200-bit) prefix sum of its gap stream at a
-// million-candidate horizon, and is never worse than naive float64
+// TestThinLongHorizonAccuracy: thinStream's compensated clock stays
+// within a rounding of the exact (200-bit) prefix sum of its gap stream at
+// a million-candidate horizon, and is never worse than naive float64
 // accumulation. A flat rate function makes every candidate an arrival, so
-// output i is exactly prefix sum i and the reference can replay the same
-// rng draws (gap, then acceptance) side by side.
+// arrival i is exactly prefix sum i and the reference can replay the same
+// rng draws (gap, then acceptance) side by side; a dropped candidate would
+// desynchronize the two and blow the error bound.
 func TestThinLongHorizonAccuracy(t *testing.T) {
 	const n = 1_000_000
 	const rateMax = 8.0
-	flat := func(float64) float64 { return rateMax }
-	times := thin(n, 99, rateMax, flat)
-	if len(times) != n {
-		t.Fatalf("flat-rate thinning dropped candidates: %d of %d", len(times), n)
-	}
+	s := &thinStream{r: rng.Seeded(99), rateMax: rateMax, rate: func(float64) float64 { return rateMax }}
 
 	r := rng.New(99)
 	exact := new(big.Float).SetPrec(200)
 	gap := new(big.Float).SetPrec(200)
 	var naive float64
 	for i := 0; i < n; i++ {
+		got := s.Next() / 1000
 		g := r.Exp(rateMax)
-		r.Float64() // thin's acceptance draw
+		r.Float64() // thinStream's acceptance draw
 		naive += g
 		exact.Add(exact, gap.SetFloat64(g))
 		if i == n/2 || i == n-1 {
 			ref, _ := exact.Float64()
-			got := times[i] / 1000
 			kahanErr := math.Abs(got - ref)
 			naiveErr := math.Abs(naive - ref)
 			if kahanErr > naiveErr {
@@ -185,8 +192,8 @@ func TestThinLongHorizonDeterminism(t *testing.T) {
 		t.Skip("long-horizon determinism sweep")
 	}
 	for _, ap := range []ArrivalProcess{DiurnalSwing(4), FlashSpike(4)} {
-		a := ap.Times(200_000, 7)
-		b := ap.Times(200_000, 7)
+		a := arrivalTimes(ap, 200_000, 7)
+		b := arrivalTimes(ap, 200_000, 7)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: long-horizon timelines diverge at %d", ap.Name(), i)
@@ -207,8 +214,8 @@ func TestMMPPBurstiness(t *testing.T) {
 	// Window ≈ 10 mean inter-arrival gaps, well inside the state holding
 	// times so bursts show up as count variance.
 	window := 10.0 / 4 * 1000
-	mmppD := IndexOfDispersion(m.Times(n, 5), window)
-	poisD := IndexOfDispersion(Poisson{RatePerSec: 4}.Times(n, 5), window)
+	mmppD := IndexOfDispersion(arrivalTimes(m, n, 5), window)
+	poisD := IndexOfDispersion(arrivalTimes(Poisson{RatePerSec: 4}, n, 5), window)
 	if mmppD <= 1 {
 		t.Errorf("MMPP index of dispersion %.2f, want > 1", mmppD)
 	}
@@ -253,10 +260,10 @@ func TestArrivalByName(t *testing.T) {
 // broken timelines.
 func TestArrivalValidation(t *testing.T) {
 	for _, bad := range []func(){
-		func() { Poisson{}.Times(1, 0) },
-		func() { MMPP{LowRate: 1, HighRate: 2, MeanLowS: 1}.Times(1, 0) },
-		func() { Diurnal{BaseRatePerSec: 1, Amplitude: 1.5, PeriodS: 10}.Times(1, 0) },
-		func() { FlashCrowd{BaseRatePerSec: 1, SpikeMult: 0.5, DecayS: 1}.Times(1, 0) },
+		func() { Poisson{}.Stream(0) },
+		func() { MMPP{LowRate: 1, HighRate: 2, MeanLowS: 1}.Stream(0) },
+		func() { Diurnal{BaseRatePerSec: 1, Amplitude: 1.5, PeriodS: 10}.Stream(0) },
+		func() { FlashCrowd{BaseRatePerSec: 1, SpikeMult: 0.5, DecayS: 1}.Stream(0) },
 	} {
 		func() {
 			defer func() {
@@ -266,6 +273,39 @@ func TestArrivalValidation(t *testing.T) {
 			}()
 			bad()
 		}()
+	}
+}
+
+// TestArrivalRejectsBadRate: a zero, negative or non-finite rate is an
+// error from ArrivalByName and a construction-time panic from the preset's
+// Stream, never a hang or a timeline of NaNs.
+func TestArrivalRejectsBadRate(t *testing.T) {
+	presets := map[string]func(float64) ArrivalProcess{
+		"poisson": func(r float64) ArrivalProcess { return Poisson{RatePerSec: r} },
+		"mmpp":    func(r float64) ArrivalProcess { return BurstyMMPP(r) },
+		"diurnal": func(r float64) ArrivalProcess { return DiurnalSwing(r) },
+		"flash":   func(r float64) ArrivalProcess { return FlashSpike(r) },
+	}
+	for name, preset := range presets {
+		if _, err := ArrivalByName(name, 4); err != nil {
+			t.Errorf("%s at rate 4: %v", name, err)
+		}
+		if x := preset(4).Stream(1).Next(); !(x > 0) {
+			t.Errorf("%s at rate 4: first arrival %v", name, x)
+		}
+		for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+			if _, err := ArrivalByName(name, rate); err == nil {
+				t.Errorf("ArrivalByName(%q, %v) did not error", name, rate)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s at rate %v: Stream did not panic", name, rate)
+					}
+				}()
+				preset(rate).Stream(1)
+			}()
+		}
 	}
 }
 

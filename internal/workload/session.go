@@ -74,16 +74,10 @@ func NewSessions(d Dataset, dim int, cfg SessionConfig, seed uint64) *Sessions {
 
 // Initial samples n session-opening requests (turn 0) with arrival times
 // from the given process. Each request's Session is its own ID, so
-// follow-ups inherit the thread identity.
+// follow-ups inherit the thread identity. It is the materialized form of
+// StreamInitial.
 func (s *Sessions) Initial(ap ArrivalProcess, n int, idBase uint64) []Request {
-	reqs := OnlineTrace(s.d, s.dim, OnlineOptions{
-		Arrivals: ap, N: n, Seed: s.seed, IDBase: idBase,
-	})
-	for i := range reqs {
-		reqs[i].Session = reqs[i].ID
-		reqs[i].Turn = 0
-	}
-	return reqs
+	return Collect(s.StreamInitial(ap, n, idBase))
 }
 
 // FollowUp returns the next turn of the parent's session, arriving an

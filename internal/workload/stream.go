@@ -1,12 +1,11 @@
-// Streaming workload generation: the incremental form of every trace
-// generator in the package. A materialized trace costs O(N) memory before
-// the first request is served; at 10M-request horizons that is gigabytes
-// of embeddings the cluster loop only ever touches front-to-back. A
-// Source instead yields requests one at a time, in arrival order, from
-// O(1) generator state — and, because every generator here consumes its
-// RNG streams in exactly the order the materializing generator does, the
-// streamed request sequence is byte-identical to the corresponding
-// []Request (stream_test.go pins this for every shape).
+// Streaming workload generation: every trace generator in the package is
+// a Source. A materialized trace costs O(N) memory before the first
+// request is served; at 10M-request horizons that is gigabytes of
+// embeddings the cluster loop only ever touches front-to-back. A Source
+// instead yields requests one at a time, in arrival order, from O(1)
+// generator state. The []Request generators (OnlineTrace, AzureTrace,
+// MultiTenantTrace, Sessions.Initial) are Collect of the corresponding
+// stream, so each workload shape is implemented exactly once.
 //
 // Embeddings are carved out of a shared Arena: blocks of arenaRows rows
 // allocated together, each request's embedding a full-slice-capped row.
@@ -95,48 +94,10 @@ func (a *Arena) Row() []float64 {
 
 // --- incremental arrival processes ------------------------------------------
 
-// ArrivalStream is the incremental form of an ArrivalProcess: Next
-// returns the process's next arrival time in milliseconds. A stream
-// seeded like Times(n, seed) yields exactly times[0..n-1] — each
-// implementation consumes the RNG in the materializing loop's order.
-type ArrivalStream interface {
-	Next() float64
-}
-
-// ArrivalStreamer is the optional streaming face of an ArrivalProcess.
-// All four in-package shapes implement it; StreamArrivals falls back to
-// materializing Times for processes that do not.
-type ArrivalStreamer interface {
-	ArrivalProcess
-	Stream(seed uint64) ArrivalStream
-}
-
-// StreamArrivals returns the incremental form of p. Unknown processes are
-// materialized up front (n times), so the fallback still satisfies the
-// stream ≡ Times contract.
-func StreamArrivals(p ArrivalProcess, seed uint64, n int) ArrivalStream {
-	if s, ok := p.(ArrivalStreamer); ok {
-		return s.Stream(seed)
-	}
-	return &sliceArrivals{times: p.Times(n, seed)}
-}
-
-type sliceArrivals struct {
-	times []float64
-	i     int
-}
-
-//finemoe:hotpath
-func (s *sliceArrivals) Next() float64 {
-	t := s.times[s.i]
-	s.i++
-	return t
-}
-
-// Stream implements ArrivalStreamer.
+// Stream implements ArrivalProcess.
 func (p Poisson) Stream(seed uint64) ArrivalStream {
-	if p.RatePerSec <= 0 {
-		panic("workload: non-positive arrival rate")
+	if !positive(p.RatePerSec) {
+		panic(fmt.Sprintf("workload: invalid Poisson %+v", p))
 	}
 	return &poissonStream{r: rng.Seeded(seed), rate: p.RatePerSec}
 }
@@ -144,7 +105,7 @@ func (p Poisson) Stream(seed uint64) ArrivalStream {
 type poissonStream struct {
 	r    rng.RNG
 	rate float64
-	t    float64 // milliseconds, like Times' accumulator
+	t    float64 // milliseconds
 }
 
 //finemoe:hotpath
@@ -153,9 +114,11 @@ func (s *poissonStream) Next() float64 {
 	return s.t
 }
 
-// Stream implements ArrivalStreamer.
+// Stream implements ArrivalProcess. The process starts in the low state;
+// state switches and arrivals are competing exponentials, resolved by
+// memorylessness.
 func (m MMPP) Stream(seed uint64) ArrivalStream {
-	if m.LowRate <= 0 || m.HighRate <= 0 || m.MeanLowS <= 0 || m.MeanHighS <= 0 {
+	if !positive(m.LowRate) || !positive(m.HighRate) || !positive(m.MeanLowS) || !positive(m.MeanHighS) {
 		panic(fmt.Sprintf("workload: invalid MMPP %+v", m))
 	}
 	s := &mmppStream{m: m, r: rng.Seeded(seed)}
@@ -166,7 +129,7 @@ func (m MMPP) Stream(seed uint64) ArrivalStream {
 type mmppStream struct {
 	m        MMPP
 	r        rng.RNG
-	t        float64 // seconds, like Times' accumulator
+	t        float64 // seconds
 	holdLeft float64
 	high     bool
 }
@@ -194,29 +157,39 @@ func (s *mmppStream) Next() float64 {
 	}
 }
 
-// Stream implements ArrivalStreamer.
+// Stream implements ArrivalProcess.
 func (d Diurnal) Stream(seed uint64) ArrivalStream {
-	if d.BaseRatePerSec <= 0 || d.Amplitude < 0 || d.Amplitude >= 1 || d.PeriodS <= 0 {
+	if !positive(d.BaseRatePerSec) || !(d.Amplitude >= 0 && d.Amplitude < 1) || !positive(d.PeriodS) {
 		panic(fmt.Sprintf("workload: invalid Diurnal %+v", d))
 	}
 	return &thinStream{r: rng.Seeded(seed), rateMax: d.BaseRatePerSec * (1 + d.Amplitude), rate: d.rate}
 }
 
-// Stream implements ArrivalStreamer.
+// Stream implements ArrivalProcess.
 func (f FlashCrowd) Stream(seed uint64) ArrivalStream {
-	if f.BaseRatePerSec <= 0 || f.SpikeMult <= 1 || f.SpikeAtS < 0 || f.DecayS <= 0 {
+	if !positive(f.BaseRatePerSec) || !positive(f.SpikeMult) || f.SpikeMult <= 1 || !(f.SpikeAtS >= 0) || !positive(f.DecayS) {
 		panic(fmt.Sprintf("workload: invalid FlashCrowd %+v", f))
 	}
 	return &thinStream{r: rng.Seeded(seed), rateMax: f.BaseRatePerSec * f.SpikeMult, rate: f.rate}
 }
 
-// thinStream is the incremental form of thin: the same Kahan-compensated
-// clock and acceptance test, one accepted arrival per Next.
+// thinStream generates an inhomogeneous Poisson process with
+// instantaneous rate rate(tS) ≤ rateMax by Lewis-Shedler thinning:
+// candidate arrivals at the constant envelope rate are kept with
+// probability rate/rateMax, one accepted arrival per Next.
+//
+// The clock is a Kahan-compensated sum of the exponential gaps. A naive
+// running sum drifts by O(n·ε) over n candidates — at million-request
+// horizons that is enough to flip thinning decisions near the acceptance
+// boundary and shift the rate() phase every process downstream replays,
+// so the accumulated time would depend on summation order rather than on
+// the gap stream alone. Compensation keeps the clock within one rounding
+// of the exact prefix sum regardless of horizon.
 type thinStream struct {
 	r       rng.RNG
 	rateMax float64
 	rate    func(tS float64) float64
-	t, comp float64
+	t, comp float64 // seconds; comp carries the low-order error term
 }
 
 func (s *thinStream) Next() float64 {
@@ -233,12 +206,11 @@ func (s *thinStream) Next() float64 {
 
 // --- streaming trace generators ---------------------------------------------
 
-// sampler draws dataset prompts one at a time, consuming its RNG in
-// exactly the order Sample's materializing loop does (topic, unit noise,
-// input length, output length — per request, sequentially), so a streamed
-// prompt sequence is byte-identical to the sampled slice. Topic
-// directions are deterministic per (dataset, topic), so they are cached
-// rather than re-derived per request.
+// sampler draws dataset prompts one at a time (topic, unit noise, input
+// length, output length — per request, sequentially); Sample and every
+// streaming trace generator draw through it. Topic directions are
+// deterministic per (dataset, topic), so they are cached rather than
+// re-derived per request.
 type sampler struct {
 	d       Dataset
 	dim     int
@@ -295,11 +267,9 @@ func (s *sampler) next(id uint64) Request {
 	}
 }
 
-// StreamOnline is the streaming form of OnlineTrace: the same prompt and
-// arrival RNG streams, interleaved per request instead of materialized in
-// two passes. The two streams are independently seeded, so interleaving
-// preserves each one's draw order and the yielded requests equal
-// OnlineTrace's byte for byte.
+// StreamOnline streams an online trace: dataset prompts with arrival
+// times drawn from the configured process. The prompt and arrival RNG
+// streams are independently seeded and interleaved per request.
 func StreamOnline(d Dataset, dim int, opt OnlineOptions) Source {
 	if opt.Arrivals == nil {
 		panic("workload: StreamOnline requires an ArrivalProcess")
@@ -313,19 +283,16 @@ func StreamOnline(d Dataset, dim int, opt OnlineOptions) Source {
 	}
 	return &onlineSource{
 		s:      newSampler(d, Options{Dim: dim, N: opt.N, Seed: opt.Seed}),
-		arr:    StreamArrivals(opt.Arrivals, rng.Mix(d.Seed, opt.Seed, arrivalSalt), opt.N),
+		arr:    opt.Arrivals.Stream(rng.Mix(d.Seed, opt.Seed, arrivalSalt)),
 		n:      opt.N,
 		base:   base,
 		tenant: opt.Tenant,
 	}
 }
 
-// StreamAzureTrace is the streaming form of AzureTrace: StreamOnline
+// StreamAzureTrace streams an Azure-style trace: StreamOnline
 // specialized to the paper's constant-rate Poisson process.
 func StreamAzureTrace(d Dataset, dim int, tc TraceConfig) Source {
-	if tc.RatePerSec <= 0 {
-		panic("workload: non-positive arrival rate")
-	}
 	return StreamOnline(d, dim, OnlineOptions{
 		Arrivals: Poisson{RatePerSec: tc.RatePerSec},
 		N:        tc.N, Seed: tc.Seed, IDBase: tc.IDBase,
@@ -359,10 +326,9 @@ func (o *onlineSource) Next() (Request, bool) {
 	return q, true
 }
 
-// StreamInitial is the streaming form of Sessions.Initial: n session
-// openers (turn 0, Session = own ID) on the given arrival process.
-// Follow-up turns stay closed-loop via FollowUp, exactly as with the
-// materialized opener trace.
+// StreamInitial streams n session openers (turn 0, Session = own ID) on
+// the given arrival process. Follow-up turns stay closed-loop via
+// FollowUp.
 func (s *Sessions) StreamInitial(ap ArrivalProcess, n int, idBase uint64) Source {
 	src := StreamOnline(s.d, s.dim, OnlineOptions{
 		Arrivals: ap, N: n, Seed: s.seed, IDBase: idBase,
@@ -371,12 +337,11 @@ func (s *Sessions) StreamInitial(ap ArrivalProcess, n int, idBase uint64) Source
 	return src
 }
 
-// StreamMultiTenant is the streaming form of MultiTenantTrace: each
-// tenant's stream is generated independently (same per-tenant seeds and
-// ID ranges) and k-way merged by arrival time, ties toward the earlier
-// tenant index. A stable merge of sorted streams equals the stable sort
-// of their concatenation, so the merged sequence is byte-identical to the
-// materialized trace.
+// StreamMultiTenant streams a multi-tenant mix: each tenant's trace is
+// generated on its own arrival process, seed and request-ID range, and
+// the tenant streams are k-way merged by arrival time, ties toward the
+// earlier tenant index. Request IDs are disjoint across tenants and every
+// request is tagged with its tenant's name.
 func StreamMultiTenant(dim int, seed uint64, tenants []TenantSpec) Source {
 	if len(tenants) == 0 {
 		panic("workload: StreamMultiTenant requires at least one tenant")
@@ -439,8 +404,8 @@ func (m *mergeSource) Next() (Request, bool) {
 }
 
 // Collect materializes a source into a slice — the inverse of
-// NewSliceSource, used by tests and by callers that need random access
-// after streaming generation.
+// NewSliceSource. Every []Request trace generator is Collect of its
+// stream.
 func Collect(src Source) []Request {
 	var out []Request
 	for {

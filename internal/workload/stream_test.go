@@ -2,11 +2,16 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 )
 
-// streamShapes are the arrival processes the parity tests sweep.
+// streamShapes are the arrival processes the golden tests sweep.
 func streamShapes() map[string]ArrivalProcess {
 	return map[string]ArrivalProcess{
 		"poisson": Poisson{RatePerSec: 4},
@@ -17,87 +22,77 @@ func streamShapes() map[string]ArrivalProcess {
 	}
 }
 
-// TestArrivalStreamMatchesTimes pins stream ≡ Times for every shape: the
-// incremental generators must replay the materializing loops bit for bit.
-func TestArrivalStreamMatchesTimes(t *testing.T) {
-	const n = 500
+// TestArrivalStreamGolden pins every shape's generator bytes: SHA-256 of
+// the float64 bits of its first 500 arrivals at seed 77.
+func TestArrivalStreamGolden(t *testing.T) {
+	want := map[string]string{
+		"poisson": "03ab471f08ce81c76fa6067def5cfa15f56e1fe377410f7a5e0adb5406c876fe",
+		"mmpp":    "a4529b12a5df349c2d7cdbb18d6343d293efaac585de6a61a6af9d64f2e356d2",
+		"diurnal": "33e73ec1566b51a9846bfaaabdf56917414191045655d6fdbf0bba1df6d0bf43",
+		"flash":   "bab145a47ab2265329a81fa9598a3950f581ed79c1f1230145b9d54e977533cb",
+		"abusive": "3524d5f8654db5fca5718d6e43a3104327abf9da45c0ea86324546d5a53728d1",
+	}
 	for name, p := range streamShapes() {
-		want := p.Times(n, 77)
-		s := p.(ArrivalStreamer).Stream(77)
-		for i, w := range want {
-			if got := s.Next(); got != w {
-				t.Fatalf("%s: arrival %d: stream %v != Times %v", name, i, got, w)
-			}
+		var buf []byte
+		for _, x := range arrivalTimes(p, 500, 77) {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
+		sum := sha256.Sum256(buf)
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: arrival digest %s, want %s", name, got, want[name])
 		}
 	}
 }
 
-// fixedArrivals is an ArrivalProcess that does not implement
-// ArrivalStreamer, to exercise StreamArrivals' materializing fallback.
-type fixedArrivals struct{}
-
-func (fixedArrivals) Name() string { return "fixed" }
-func (fixedArrivals) Times(n int, seed uint64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = float64(i) * 10
+// traceDigest is the SHA-256 of a trace's JSON encoding, which carries
+// every field, embeddings included, at full float64 precision.
+func traceDigest(t *testing.T, reqs []Request) string {
+	t.Helper()
+	b, err := json.Marshal(reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-func TestStreamArrivalsFallback(t *testing.T) {
-	s := StreamArrivals(fixedArrivals{}, 1, 4)
-	for i := 0; i < 4; i++ {
-		if got, want := s.Next(), float64(i)*10; got != want {
-			t.Fatalf("fallback arrival %d: got %v want %v", i, got, want)
-		}
-	}
-}
-
-// TestStreamOnlineMatchesOnlineTrace pins the tentpole parity: for every
-// arrival shape, the streamed request sequence equals the materialized
-// trace field for field, embeddings included.
-func TestStreamOnlineMatchesOnlineTrace(t *testing.T) {
+// TestTraceGolden pins every trace generator's bytes. The []Request
+// generators are Collect of these streams, so this pins them too.
+func TestTraceGolden(t *testing.T) {
 	d := LMSYSChat1M()
+	cases := map[string]Source{}
 	for name, p := range streamShapes() {
-		opt := OnlineOptions{Arrivals: p, N: 200, Seed: 9, Tenant: "t0"}
-		want := OnlineTrace(d, 16, opt)
-		got := Collect(StreamOnline(d, 16, opt))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: streamed trace diverges from OnlineTrace", name)
-		}
+		cases["online/"+name] = StreamOnline(d, 16, OnlineOptions{Arrivals: p, N: 200, Seed: 9, Tenant: "t0"})
 	}
-}
-
-func TestStreamAzureTraceMatches(t *testing.T) {
-	d := ShareGPT()
-	tc := TraceConfig{RatePerSec: 2.91, N: 128, Seed: 3}
-	want := AzureTrace(d, 16, tc)
-	got := Collect(StreamAzureTrace(d, 16, tc))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed Azure trace diverges from AzureTrace")
-	}
-}
-
-func TestStreamInitialMatchesSessions(t *testing.T) {
-	s := NewSessions(LMSYSChat1M(), 16, SessionConfig{MeanTurns: 3, Drift: 0.05}, 21)
-	want := s.Initial(Poisson{RatePerSec: 4}, 100, 0)
-	got := Collect(s.StreamInitial(Poisson{RatePerSec: 4}, 100, 0))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed session openers diverge from Initial")
-	}
-}
-
-func TestStreamMultiTenantMatches(t *testing.T) {
-	tenants := []TenantSpec{
+	cases["azure"] = StreamAzureTrace(ShareGPT(), 16, TraceConfig{RatePerSec: 2.91, N: 128, Seed: 3})
+	sess := NewSessions(LMSYSChat1M(), 16, SessionConfig{MeanTurns: 3, Drift: 0.05}, 21)
+	cases["session-openers"] = sess.StreamInitial(Poisson{RatePerSec: 4}, 100, 0)
+	cases["multi-tenant"] = StreamMultiTenant(16, 13, []TenantSpec{
 		{Name: "lmsys", Dataset: LMSYSChat1M(), Arrivals: Poisson{RatePerSec: 4}, N: 80},
 		{Name: "sharegpt", Dataset: ShareGPT(), Arrivals: BurstyMMPP(6), N: 60},
 		AdversarialTenant("abuser", 3, 40, 5),
+	})
+	want := map[string]string{
+		"online/poisson":  "35cdab289d2467c933a96dd5e6dba308e710479e10eb8fd8ac21c61e776f41c2",
+		"online/mmpp":     "f5226bcae1580afc2949531b9cbd2fe9378463b69b016a30d7fee08a37f379e9",
+		"online/diurnal":  "bcd0a530f38414fa2ba699269931545931d8434c7af4fded5361df997cf9ae86",
+		"online/flash":    "a7d8e289c8049933543e83bdabc516b59d497ca5fea7a41b8fa24edc3e5902b0",
+		"online/abusive":  "2bce44490107308d6ea6963750fc9ba4870596905c9b327161d39b3c97c77ad6",
+		"azure":           "974800870cea3ea49c6ad8c2dff45f62428c326f44ca2af533a409200900bfda",
+		"session-openers": "bc7d762804a2d5e114ba33a1137e1f2cc0c79769acc41d789822b2d86fd7d11e",
+		"multi-tenant":    "bd6fbd2b2682422c03174bbe6c9e234a7f80bde3a80b0f6a0b2fe695398c35e3",
 	}
-	want := MultiTenantTrace(16, 13, tenants)
-	got := Collect(StreamMultiTenant(16, 13, tenants))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed multi-tenant trace diverges from MultiTenantTrace")
+	for name, src := range cases {
+		// JSON carries every field, embeddings included, at full float64
+		// precision.
+		b, err := json.Marshal(Collect(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: trace digest %s, want %s", name, got, want[name])
+		}
 	}
 }
 

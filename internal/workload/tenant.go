@@ -4,13 +4,6 @@
 // by tenant (the fairness axis a shared fleet must be measured on).
 package workload
 
-import (
-	"fmt"
-	"sort"
-
-	"finemoe/internal/rng"
-)
-
 // TenantSpec describes one tenant's contribution to a mixed trace.
 type TenantSpec struct {
 	// Name identifies the tenant in request tags and reports.
@@ -28,34 +21,8 @@ type TenantSpec struct {
 const tenantIDStride uint64 = 1 << 32
 
 // MultiTenantTrace samples every tenant's trace on its own arrival
-// process and merges them into one arrival-ordered stream. Request IDs
-// are disjoint across tenants, every request is tagged with its tenant's
-// name, and ties in arrival time break toward the earlier tenant index,
-// so the merge is deterministic.
+// process and merges them into one arrival-ordered trace. It is the
+// materialized form of StreamMultiTenant.
 func MultiTenantTrace(dim int, seed uint64, tenants []TenantSpec) []Request {
-	if len(tenants) == 0 {
-		panic("workload: MultiTenantTrace requires at least one tenant")
-	}
-	var merged []Request
-	for i, t := range tenants {
-		if t.Name == "" {
-			panic(fmt.Sprintf("workload: tenant %d has no name", i))
-		}
-		if t.Arrivals == nil {
-			panic(fmt.Sprintf("workload: tenant %q has no arrival process", t.Name))
-		}
-		merged = append(merged, OnlineTrace(t.Dataset, dim, OnlineOptions{
-			Arrivals: t.Arrivals,
-			N:        t.N,
-			Seed:     rng.Mix(seed, uint64(i)),
-			IDBase:   uint64(i+1) * tenantIDStride,
-			Tenant:   t.Name,
-		})...)
-	}
-	// Stable sort on arrival time: equal arrivals keep concatenation
-	// (tenant-index) order.
-	sort.SliceStable(merged, func(a, b int) bool {
-		return merged[a].ArrivalMS < merged[b].ArrivalMS
-	})
-	return merged
+	return Collect(StreamMultiTenant(dim, seed, tenants))
 }

@@ -202,16 +202,9 @@ type TraceConfig struct {
 
 // AzureTrace samples an online trace: dataset prompts with exponential
 // inter-arrival gaps (Poisson process) and trace-specified token lengths.
-// It is OnlineTrace specialized to the paper's constant-rate process; the
-// arrival stream is byte-identical to the pre-ArrivalProcess generator.
+// It is the materialized form of StreamAzureTrace.
 func AzureTrace(d Dataset, dim int, tc TraceConfig) []Request {
-	if tc.RatePerSec <= 0 {
-		panic("workload: non-positive arrival rate")
-	}
-	return OnlineTrace(d, dim, OnlineOptions{
-		Arrivals: Poisson{RatePerSec: tc.RatePerSec},
-		N:        tc.N, Seed: tc.Seed, IDBase: tc.IDBase,
-	})
+	return Collect(StreamAzureTrace(d, dim, tc))
 }
 
 // Stats summarizes a request population.
