@@ -56,44 +56,61 @@ func traceDigest(t *testing.T, reqs []Request) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestTraceGolden pins every trace generator's bytes. The []Request
-// generators are Collect of these streams, so this pins them too.
-func TestTraceGolden(t *testing.T) {
-	d := LMSYSChat1M()
-	cases := map[string]Source{}
-	for name, p := range streamShapes() {
-		cases["online/"+name] = StreamOnline(d, 16, OnlineOptions{Arrivals: p, N: 200, Seed: 9, Tenant: "t0"})
+// checkTraceGolden fails unless both the streamed and the materialized
+// trace hash to want. The goldens were computed when the two were still
+// separate generators and agreed byte for byte.
+func checkTraceGolden(t *testing.T, name string, streamed Source, materialized []Request, want string) {
+	t.Helper()
+	if got := traceDigest(t, Collect(streamed)); got != want {
+		t.Errorf("%s: streamed trace digest %s, want %s", name, got, want)
 	}
-	cases["azure"] = StreamAzureTrace(ShareGPT(), 16, TraceConfig{RatePerSec: 2.91, N: 128, Seed: 3})
-	sess := NewSessions(LMSYSChat1M(), 16, SessionConfig{MeanTurns: 3, Drift: 0.05}, 21)
-	cases["session-openers"] = sess.StreamInitial(Poisson{RatePerSec: 4}, 100, 0)
-	cases["multi-tenant"] = StreamMultiTenant(16, 13, []TenantSpec{
+	if got := traceDigest(t, materialized); got != want {
+		t.Errorf("%s: materialized trace digest %s, want %s", name, got, want)
+	}
+}
+
+// TestStreamOnlineMatchesOnlineTrace pins StreamOnline and OnlineTrace
+// for every arrival shape.
+func TestStreamOnlineMatchesOnlineTrace(t *testing.T) {
+	d := LMSYSChat1M()
+	want := map[string]string{
+		"poisson": "35cdab289d2467c933a96dd5e6dba308e710479e10eb8fd8ac21c61e776f41c2",
+		"mmpp":    "f5226bcae1580afc2949531b9cbd2fe9378463b69b016a30d7fee08a37f379e9",
+		"diurnal": "bcd0a530f38414fa2ba699269931545931d8434c7af4fded5361df997cf9ae86",
+		"flash":   "a7d8e289c8049933543e83bdabc516b59d497ca5fea7a41b8fa24edc3e5902b0",
+		"abusive": "2bce44490107308d6ea6963750fc9ba4870596905c9b327161d39b3c97c77ad6",
+	}
+	for name, p := range streamShapes() {
+		opt := OnlineOptions{Arrivals: p, N: 200, Seed: 9, Tenant: "t0"}
+		checkTraceGolden(t, name, StreamOnline(d, 16, opt), OnlineTrace(d, 16, opt), want[name])
+	}
+}
+
+func TestStreamAzureTraceMatches(t *testing.T) {
+	d := ShareGPT()
+	tc := TraceConfig{RatePerSec: 2.91, N: 128, Seed: 3}
+	checkTraceGolden(t, "azure", StreamAzureTrace(d, 16, tc), AzureTrace(d, 16, tc),
+		"974800870cea3ea49c6ad8c2dff45f62428c326f44ca2af533a409200900bfda")
+}
+
+func TestStreamInitialMatchesSessions(t *testing.T) {
+	newSess := func() *Sessions {
+		return NewSessions(LMSYSChat1M(), 16, SessionConfig{MeanTurns: 3, Drift: 0.05}, 21)
+	}
+	checkTraceGolden(t, "session-openers",
+		newSess().StreamInitial(Poisson{RatePerSec: 4}, 100, 0),
+		newSess().Initial(Poisson{RatePerSec: 4}, 100, 0),
+		"bc7d762804a2d5e114ba33a1137e1f2cc0c79769acc41d789822b2d86fd7d11e")
+}
+
+func TestStreamMultiTenantMatches(t *testing.T) {
+	tenants := []TenantSpec{
 		{Name: "lmsys", Dataset: LMSYSChat1M(), Arrivals: Poisson{RatePerSec: 4}, N: 80},
 		{Name: "sharegpt", Dataset: ShareGPT(), Arrivals: BurstyMMPP(6), N: 60},
 		AdversarialTenant("abuser", 3, 40, 5),
-	})
-	want := map[string]string{
-		"online/poisson":  "35cdab289d2467c933a96dd5e6dba308e710479e10eb8fd8ac21c61e776f41c2",
-		"online/mmpp":     "f5226bcae1580afc2949531b9cbd2fe9378463b69b016a30d7fee08a37f379e9",
-		"online/diurnal":  "bcd0a530f38414fa2ba699269931545931d8434c7af4fded5361df997cf9ae86",
-		"online/flash":    "a7d8e289c8049933543e83bdabc516b59d497ca5fea7a41b8fa24edc3e5902b0",
-		"online/abusive":  "2bce44490107308d6ea6963750fc9ba4870596905c9b327161d39b3c97c77ad6",
-		"azure":           "974800870cea3ea49c6ad8c2dff45f62428c326f44ca2af533a409200900bfda",
-		"session-openers": "bc7d762804a2d5e114ba33a1137e1f2cc0c79769acc41d789822b2d86fd7d11e",
-		"multi-tenant":    "bd6fbd2b2682422c03174bbe6c9e234a7f80bde3a80b0f6a0b2fe695398c35e3",
 	}
-	for name, src := range cases {
-		// JSON carries every field, embeddings included, at full float64
-		// precision.
-		b, err := json.Marshal(Collect(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(b)
-		if got := hex.EncodeToString(sum[:]); got != want[name] {
-			t.Errorf("%s: trace digest %s, want %s", name, got, want[name])
-		}
-	}
+	checkTraceGolden(t, "multi-tenant", StreamMultiTenant(16, 13, tenants), MultiTenantTrace(16, 13, tenants),
+		"bd6fbd2b2682422c03174bbe6c9e234a7f80bde3a80b0f6a0b2fe695398c35e3")
 }
 
 func TestSliceSourceRoundTrip(t *testing.T) {
