@@ -15,7 +15,8 @@
 //	GET  /v1/config
 //	  -> model, testbed, fleet and policy configuration
 //	POST /v1/faults    {"instance": 1, "action": "crash"}
-//	  -> crash a replica in place, or "restore" it with a cold restart
+//	  -> crash an instance in place, or "restore" it with a cold
+//	     replacement under a new ID
 //	GET  /healthz
 //	  -> per-replica health (healthy/degraded/crashed/draining); 200 while
 //	     at least one replica is routable, 503 "unavailable" when none is
@@ -34,25 +35,33 @@
 //
 //	finemoe-serve -model mixtral -instances 4 -dram-gb 24 -router memory-aware
 //
+// -cache-gb 0 (the default) caches 30% of the model's expert weights per
+// instance, in both the live and the -replay mode.
+//
 // With -autoscale the fleet resizes itself on queue pressure, evaluated
-// at each admitted arrival: sustained load above the high watermark adds
-// an instance (up to -max-instances, reusing drained retired replicas
-// first), and sustained low load retires the least-loaded replica (down
-// to -min-instances) as subsequent arrivals are admitted — a fully idle
-// server holds its size until traffic resumes. Retired instances finish
-// in-flight work but receive no further routes:
+// on the cluster's shared-clock ticks while requests simulate: sustained
+// load above the high watermark adds a fresh cold instance under a new
+// ID (up to -max-instances), and sustained low load retires the
+// least-loaded instance (down to -min-instances) — a fully idle server
+// holds its size until traffic resumes. Retired instances finish
+// in-flight work but receive no further routes and are never reused:
 //
 //	finemoe-serve -model mixtral -instances 1 -autoscale -min-instances 1 -max-instances 8
+//
+// The live server and -replay build their fleet from the same
+// scenarios.Options and FleetSpec through one cluster.Cluster, so a
+// replay predicts the live server's routing and scaling. Requests that
+// reach the live server while a batch simulates are offered together as
+// the next batch, stamped at the fleet makespan; the simulation runs on
+// one host goroutine at a time, not in parallel across instances.
 //
 // With -replay N the server does not listen at all: it generates N
 // synthetic requests on the arrival process named by -arrival (poisson,
 // mmpp, diurnal, flash — see internal/workload presets) at -arrival-rate
-// req/s, replays them through the simulated cluster (scenarios.Runner
-// driving cluster.Cluster with the same model, fleet and policy flags;
-// the HTTP path runs its own fleet code in internal/httpserve), prints
-// the scenario report, and exits — a one-command load rehearsal for a
-// fleet configuration. An -arrival-rate that is not finite and > 0 exits
-// 2 with an error:
+// req/s, replays them through the simulated cluster, prints the scenario
+// report, and exits — a one-command load rehearsal for a fleet
+// configuration. An -arrival-rate that is not finite and > 0 exits 2
+// with an error:
 //
 //	finemoe-serve -model tiny -instances 2 -router semantic -autoscale \
 //	  -replay 64 -arrival mmpp -arrival-rate 8
@@ -69,10 +78,12 @@
 //	  -resilience -retries 3 -hedge-ms 1500
 //
 // The live HTTP server exposes the same failure vocabulary operationally:
-// POST /v1/faults {"instance": 1, "action": "crash"} fails a replica in
-// place (restore replaces it cold), /healthz reports per-replica
-// healthy/degraded/crashed/draining states, and crashed replicas leave
-// the routable set until restored.
+// POST /v1/faults {"instance": 1, "action": "crash"} fails an instance in
+// place and it leaves the routable set at once; "restore" answers that
+// crash with one cold replacement (empty store and cache) and responds
+// with the replacement's new instance ID, while the crashed instance
+// stays crashed. /healthz reports per-instance
+// healthy/degraded/crashed/draining states.
 package main
 
 import (
@@ -106,14 +117,13 @@ func modelByName(name string) (moe.Config, error) {
 	return moe.Config{}, fmt.Errorf("unknown model %q (mixtral|qwen|phi|tiny)", name)
 }
 
-// admissionByName and routerByName delegate to the scenarios resolvers so
-// the HTTP path and -replay mode share one name-to-policy table.
-func admissionByName(name string, burst, rate float64) (cluster.Admission, error) {
-	return scenarios.NewAdmission(strings.ToLower(name), burst, rate)
-}
-
-func routerByName(name string) (cluster.Router, error) {
-	return scenarios.NewRouter(strings.ToLower(name))
+// cacheBytes resolves -cache-gb for both modes: a positive budget in GiB,
+// or 30% of the model's expert weights for 0 (or less).
+func cacheBytes(gb float64, cfg moe.Config) int64 {
+	if gb > 0 {
+		return int64(gb * float64(int64(1)<<30))
+	}
+	return int64(float64(cfg.TotalExpertBytes()) * 0.3)
 }
 
 func main() {
@@ -149,21 +159,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	adm, err := admissionByName(*admitArg, *admitBurst, *admitRate)
-	if err != nil {
+	// The live server and -replay share one fleet description; resolving
+	// the policy names here makes a bad name a usage error in both modes.
+	opts := scenarios.Options{
+		Model: cfg, GPU: memsim.RTX3090(), NumGPUs: *gpus, Seed: *seed,
+		CacheBytes: cacheBytes(*cacheGB, cfg),
+		DRAMBytes:  int64(*dramGB * float64(int64(1)<<30)), // 0 = unbounded DRAM
+	}
+	fleet := scenarios.FleetSpec{
+		Instances:  *instances,
+		Router:     strings.ToLower(*routerArg),
+		Admission:  strings.ToLower(*admitArg),
+		AdmitBurst: *admitBurst, AdmitRate: *admitRate,
+		Autoscale:    *autoscale,
+		MinInstances: *minInst, MaxInstances: *maxInst,
+	}
+	if _, err := scenarios.NewAdmission(fleet.Admission, fleet.AdmitBurst, fleet.AdmitRate); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	rt, err := routerByName(*routerArg)
-	if err != nil {
+	if _, err := scenarios.NewRouter(fleet.Router); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var cacheBytes int64
-	if *cacheGB > 0 {
-		cacheBytes = int64(*cacheGB * float64(int64(1)<<30))
-	}
-	dramBytes := int64(*dramGB * float64(int64(1)<<30)) // 0 = unbounded DRAM
 	if *replayN > 0 {
 		ap, err := workload.ArrivalByName(strings.ToLower(*arrival), *arrRate)
 		if err != nil {
@@ -196,26 +214,14 @@ func main() {
 				}
 			}
 		}
-		runner := scenarios.NewRunner(scenarios.Options{
-			Model: cfg, GPU: memsim.RTX3090(), NumGPUs: *gpus, Seed: *seed,
-			CacheBytes: cacheBytes,
-			DRAMBytes:  dramBytes,
-		})
-		rep, err := runner.Run(scenarios.Scenario{
+		rep, err := scenarios.NewRunner(opts).Run(scenarios.Scenario{
 			Name: "replay",
 			Workload: scenarios.WorkloadSpec{
 				Dataset:  workload.LMSYSChat1M(),
 				Arrivals: ap,
 				Requests: *replayN,
 			},
-			Fleet: scenarios.FleetSpec{
-				Instances:  *instances,
-				Router:     strings.ToLower(*routerArg),
-				Admission:  strings.ToLower(*admitArg),
-				AdmitBurst: *admitBurst, AdmitRate: *admitRate,
-				Autoscale:    *autoscale,
-				MinInstances: *minInst, MaxInstances: *maxInst,
-			},
+			Fleet:  fleet,
 			Faults: fspec,
 		})
 		if err != nil {
@@ -231,29 +237,18 @@ func main() {
 		return
 	}
 
-	var scaler cluster.Autoscaler
-	if *autoscale {
-		scaler = cluster.NewQueuePressure(cluster.QueuePressureOptions{})
+	srv, err := httpserve.New(opts, fleet, workload.LMSYSChat1M())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	srv := httpserve.New(httpserve.Config{
-		Model: cfg, Seed: *seed,
-		GPU: memsim.RTX3090(), NumGPUs: *gpus,
-		CacheBytes:   cacheBytes,
-		DRAMBytes:    dramBytes,
-		Instances:    *instances,
-		Admission:    adm,
-		Router:       rt,
-		Autoscaler:   scaler,
-		MinInstances: *minInst,
-		MaxInstances: *maxInst,
-	})
-
+	info := srv.ConfigInfo()
 	scaleInfo := ""
 	if *autoscale {
 		scaleInfo = fmt.Sprintf(" autoscale=[%d,%d]", *minInst, *maxInst)
 	}
 	log.Printf("finemoe-serve: %s, %d instance(s) × %d GPU(s), admission=%s router=%s%s, listening on %s",
-		cfg.Name, *instances, *gpus, adm.Name(), rt.Name(), scaleInfo, *addr)
+		cfg.Name, info["instances"], *gpus, info["admission"], info["router"], scaleInfo, *addr)
 	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
 		log.Fatal(err)
 	}

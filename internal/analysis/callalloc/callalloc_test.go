@@ -17,6 +17,14 @@ func TestCallalloc(t *testing.T) {
 	analysistest.Run(t, "../testdata", callalloc.Analyzer, "finemoe/hotcaller", "finemoe/callee")
 }
 
+// TestHotpathRoots covers the direct sites inside //finemoe:hotpath
+// bodies — every allocation shape allocscan knows, the cap-guard grow
+// idiom and a site-level allocok — and that unannotated functions may
+// allocate freely.
+func TestHotpathRoots(t *testing.T) {
+	analysistest.Run(t, "../testdata", callalloc.Analyzer, "finemoe/hot")
+}
+
 // TestStaleDirectives drives the staleness sweep through fixtures: a
 // suppression that no longer does work and a misspelled directive are
 // flagged; a live suppression is not.

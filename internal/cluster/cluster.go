@@ -55,6 +55,9 @@ type Instance struct {
 	// idx is the instance's position in the cluster's instances slice
 	// (append-only, so stable) — the key into the next-event heap.
 	idx int
+	// replaced marks a crashed instance Replace already answered, so
+	// each crash buys at most one cold replacement.
+	replaced bool
 }
 
 // State snapshots the instance's load view for admission and routing.
@@ -391,10 +394,6 @@ func (c *Cluster) ActiveSize() int {
 	return n
 }
 
-// ScaleEvents returns the autoscaler's resize history so far (shared;
-// callers must not mutate).
-func (c *Cluster) ScaleEvents() []ScaleEvent { return c.events }
-
 // Instances returns the fleet (shared; callers must not mutate the slice).
 // The cluster caches each engine's next event time in its event heap,
 // refreshed at exactly the points the loop itself can change it (Offer's
@@ -422,16 +421,6 @@ func (c *Cluster) Rejected() int { return c.rejected }
 
 // Admitted counts requests accepted so far.
 func (c *Cluster) Admitted() int { return c.admitted }
-
-// States snapshots every instance's load view, in instance order,
-// including retiring instances.
-func (c *Cluster) States() []InstanceState {
-	out := make([]InstanceState, len(c.instances))
-	for i, in := range c.instances {
-		out[i] = in.State()
-	}
-	return out
-}
 
 // activeStates snapshots the routable fleet — the view admission, routing
 // and autoscaling observe. Entries are ordered by ascending instance ID
@@ -498,10 +487,6 @@ func (c *Cluster) Offer(req workload.Request) int {
 	}
 	return in.ID
 }
-
-// FollowUps counts follow-up requests injected by the FollowUp hook so
-// far.
-func (c *Cluster) FollowUps() int { return c.followUps }
 
 // observeCompletions reacts to every request the instance completed
 // since the last call. Called after every engine step, so observation

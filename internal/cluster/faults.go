@@ -7,6 +7,8 @@
 package cluster
 
 import (
+	"fmt"
+
 	"finemoe/internal/faults"
 	"finemoe/internal/workload"
 )
@@ -136,12 +138,53 @@ func (c *Cluster) strandedRequest(req workload.Request, in *Instance, t float64)
 // spawnReplacement grows the fleet by one cold-store instance in
 // reaction to a detected crash: the autoscaler's spawn path, recorded
 // as ScaleEvent kind "replace".
-func (c *Cluster) spawnReplacement(t float64) {
+func (c *Cluster) spawnReplacement(t float64) *Instance {
 	in := c.spawn(t)
 	c.events = append(c.events, ScaleEvent{
 		TimeMS: t, Kind: "replace", Instance: in.ID, ActiveAfter: c.ActiveSize(),
 	})
 	c.logFault(t, "replace", in.ID)
+	return in
+}
+
+// Crash fails instance id at the cluster clock and detects the failure
+// at once, through the fault plan's crash and detect steps: the
+// instance leaves the routable fleet and its stranded requests are
+// settled. It is the operator's crash for a fleet driven through
+// Offer/Drain, which plays its own failure detector. Crashing a crashed
+// instance is a no-op.
+func (c *Cluster) Crash(id int) error {
+	if c.findInstance(id) == nil {
+		return fmt.Errorf("cluster: no instance %d", id)
+	}
+	ev := faults.Event{TimeMS: c.now, Kind: faults.KindCrash, Instance: id}
+	c.applyCrash(ev)
+	ev.Kind = faults.KindDetect
+	c.applyDetect(ev)
+	return nil
+}
+
+// Replace answers a detected crash of instance id with one cold
+// replacement spawned at the cluster clock — the resilience path's
+// spawnReplacement, so it needs an EngineFactory — and returns the
+// replacement's ID. Each crashed instance is replaced at most once, and
+// only while the routable fleet is below MaxInstances.
+func (c *Cluster) Replace(id int) (int, error) {
+	in := c.findInstance(id)
+	switch {
+	case in == nil:
+		return -1, fmt.Errorf("cluster: no instance %d", id)
+	case !in.Detected:
+		return -1, fmt.Errorf("cluster: instance %d is not crashed", id)
+	case in.replaced:
+		return -1, fmt.Errorf("cluster: instance %d was already replaced", id)
+	case c.factory == nil:
+		return -1, fmt.Errorf("cluster: no EngineFactory to replace instance %d", id)
+	case c.ActiveSize() >= c.maxInst:
+		return -1, fmt.Errorf("cluster: fleet at MaxInstances (%d)", c.maxInst)
+	}
+	in.replaced = true
+	return c.spawnReplacement(c.now).ID, nil
 }
 
 // applyLinkFault applies a brownout, restore or stall to its target set:

@@ -204,3 +204,68 @@ func TestEmptyFaultPlanIsInert(t *testing.T) {
 		t.Fatal("empty fault plan perturbed a fault-free run")
 	}
 }
+
+// TestCrashAndReplaceOnDemand drives the operator fault surface a live
+// Offer/Drain front uses: Crash takes an instance out of the routable
+// fleet at once, settling what it stranded, and Replace answers each
+// crash with one cold replacement under a new ID, within MaxInstances.
+func TestCrashAndReplaceOnDemand(t *testing.T) {
+	m := moe.NewModel(moe.Tiny(), 7)
+	c := New(Options{
+		Engines:       testEngines(m, 2),
+		Router:        NewLeastLoaded(),
+		EngineFactory: func(id int) *serve.Engine { return testEngines(m, 1)[0] },
+		MaxInstances:  3,
+	})
+	trace := testTrace(m.Cfg, 4, 60, 3)
+	for _, q := range trace[:2] {
+		c.Offer(q)
+	}
+	if err := c.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Crash(1); err != nil {
+		t.Fatalf("crashing a crashed instance: %v, want a no-op", err)
+	}
+	if err := c.Crash(9); err == nil {
+		t.Fatal("crash of an unknown instance accepted")
+	}
+	if c.ActiveSize() != 1 || c.crashes != 1 || c.lostInFlight != 1 || c.failedReqs != 1 {
+		t.Fatalf("after crash: active %d crashes %d lost %d failed %d, want 1/1/1/1",
+			c.ActiveSize(), c.crashes, c.lostInFlight, c.failedReqs)
+	}
+	for _, q := range trace[2:] {
+		if got := c.Offer(q); got != 0 {
+			t.Fatalf("request routed to %d, want survivor 0", got)
+		}
+	}
+	c.Drain()
+
+	if _, err := c.Replace(0); err == nil {
+		t.Fatal("replaced a live instance")
+	}
+	id, err := c.Replace(1)
+	if err != nil || id != 2 {
+		t.Fatalf("Replace(1) = %d, %v; want new instance 2", id, err)
+	}
+	if _, err := c.Replace(1); err == nil {
+		t.Fatal("one crash replaced twice")
+	}
+	in := c.Instances()[id]
+	if in.Engine.CompletedCount() != 0 || in.StartedMS != c.Now() || c.ActiveSize() != 2 {
+		t.Fatalf("replacement not a cold instance joining at the clock: %+v", in)
+	}
+	// A crash is replaceable only while the routable fleet is below
+	// MaxInstances.
+	full := New(Options{
+		Engines:       testEngines(m, 3),
+		EngineFactory: func(id int) *serve.Engine { return testEngines(m, 1)[0] },
+		MaxInstances:  2,
+	})
+	if err := full.Crash(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := full.Replace(2); err == nil {
+		t.Fatal("replacement beyond MaxInstances accepted")
+	}
+}

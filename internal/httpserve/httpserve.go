@@ -1,28 +1,31 @@
 // Package httpserve exposes the FineMoE serving simulator over HTTP — the
-// demo surface of cmd/finemoe-serve. Requests flow through the cluster
-// pipeline: an admission policy gates each arrival, a router places it on
-// one of N serving instances, and each instance's Expert Map Store starts
-// empty and warms up as requests flow, so successive requests see
-// improving hit rates and latency, mirroring the paper's online-serving
-// behaviour (§6.3). An optional autoscaler resizes the fleet on queue
-// pressure: grown instances join the routable set immediately, retired
-// ones finish their in-flight work but receive no further routes.
+// demo surface of cmd/finemoe-serve. The server is a thin front over one
+// cluster.Cluster, built from the same scenarios.Options and FleetSpec a
+// finemoe-serve -replay run uses (scenarios.Runner.ClusterOptions), so
+// every admission, routing, autoscaling, crash and replacement decision
+// is the cluster's. Each instance's Expert Map Store starts empty and
+// warms up as requests flow, so successive requests see improving hit
+// rates and latency, mirroring the paper's online-serving behaviour
+// (§6.3).
 //
-// The server also exposes a fault surface mirroring the cluster
-// simulator's failure model: POST /v1/faults crashes or restores a
-// replica, /healthz and /v1/stats report each replica's health state
-// (healthy | degraded | crashed | draining), and crashed replicas leave
-// the routable set until restored with a cold cache.
+// One mutex guards the server. A request is stamped at the fleet
+// makespan, offered to the cluster (Offer) and simulated to completion
+// (Drain); requests that arrive while a batch simulates wait and are
+// offered together as the next batch, so concurrent clients appear as
+// queue depth to the router and to the queue-pressure autoscaler, which
+// runs on the cluster's own shared-clock ticks. The mutex is released
+// while a batch simulates; everything that reads the cluster (stats,
+// health, config, faults) waits for the batch to finish.
 //
-// Locking is two-level: a short-held server mutex covers the admission and
-// routing decision plus cumulative statistics, and each instance has its
-// own mutex serializing its engine. Requests routed to different instances
-// therefore simulate concurrently — the server no longer holds one global
-// lock across entire simulated runs.
+// POST /v1/faults crashes an instance (it leaves the routable set at
+// once) or restores it with one cold replacement under a new ID;
+// /healthz and /v1/stats report each instance's health state
+// (healthy | degraded | crashed | draining).
 package httpserve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -30,260 +33,156 @@ import (
 
 	"finemoe/internal/cluster"
 	"finemoe/internal/core"
-	"finemoe/internal/memsim"
 	"finemoe/internal/moe"
 	"finemoe/internal/rng"
+	"finemoe/internal/scenarios"
 	"finemoe/internal/serve"
 	"finemoe/internal/tensor"
 	"finemoe/internal/workload"
 )
 
-// Config assembles a serving deployment.
-type Config struct {
-	// Model is the MoE architecture to serve.
-	Model moe.Config
-	// Seed drives the simulated gate network and prompt noise.
-	Seed uint64
-	// GPU and NumGPUs define the simulated testbed per instance.
-	GPU     memsim.GPUSpec
-	NumGPUs int
-	// CacheBytes is each instance's expert-cache budget (0 = 30% of
-	// expert weights).
-	CacheBytes int64
-	// DRAMBytes bounds each instance's host DRAM tier; experts beyond
-	// the budget spill to an NVMe backing tier behind a shared staging
-	// link (0 = unbounded DRAM, the degenerate two-tier hierarchy).
-	DRAMBytes int64
-	// StoreCapacity sizes each instance's Expert Map Store (0 = the
-	// paper's 1K).
-	StoreCapacity int
-	// Instances is the number of serving replicas (0 = 1).
-	Instances int
-	// Admission gates arrivals (nil = always-admit).
-	Admission cluster.Admission
-	// Router places admitted requests (nil = least-loaded).
-	Router cluster.Router
-	// Autoscaler, when non-nil, resizes the fleet on queue pressure:
-	// it is evaluated at each admitted arrival (the serving analogue of
-	// the cluster's shared-clock tick) and may add a fresh instance or
-	// retire one. Retired instances finish their in-flight work but
-	// receive no further routes.
-	Autoscaler cluster.Autoscaler
-	// MinInstances / MaxInstances bound the autoscaled fleet
-	// (defaults: 1 and 4× Instances).
-	MinInstances, MaxInstances int
-	// Dataset provides the topic space for synthetic prompts.
-	Dataset workload.Dataset
+// Server serves simulated requests through one cluster.
+type Server struct {
+	cfg     moe.Config
+	dataset workload.Dataset
+	// info is the fixed part of /v1/config.
+	info              map[string]any
+	admission, router string
+
+	mu sync.Mutex
+	// idle is signalled (under mu) each time a batch finishes.
+	idle sync.Cond
+	cl   *cluster.Cluster
+	// busy marks a batch simulating with mu released; only the goroutine
+	// that started it touches the cluster until it clears busy.
+	busy bool
+	// pending holds the requests waiting for the next batch.
+	pending []*call
+	// clock is the fleet makespan after the last batch: the next batch's
+	// arrival stamp.
+	clock  float64
+	nextID uint64
+	// served accumulates each instance's completions, which the server
+	// takes from the engines to keep their memory bounded.
+	served map[int]tally
 }
 
-// instance is one serving replica: an engine plus its own lock and
-// cumulative statistics.
-type instance struct {
-	mu     sync.Mutex
-	engine *serve.Engine
-	policy *core.FineMoE
+// call is one Generate waiting for its batch.
+type call struct {
+	req  workload.Request
+	resp GenerateResponse
+	err  error
+	done bool
+}
 
+// tally is one instance's cumulative serving statistics.
+type tally struct {
 	served           int
 	hits, misses     int
 	sumTTFT, sumTPOT float64
-	now              float64
-	// memPressure caches the engine's thrash signal as of the last
-	// request served; the full tier snapshot is fetched lazily by
-	// Stats() so the serving path pays nothing for it.
-	memPressure float64
 }
 
-// Server simulates serving over a fleet of instances behind the
-// admission → routing pipeline.
-type Server struct {
-	cfg     moe.Config
-	conf    Config // defaults applied; the template for scale-up instances
-	dataset workload.Dataset
-
-	// mu guards the pipeline decision, the fleet shape (instances /
-	// retired / inflight / completed grow together), and the cumulative
-	// counters below; it is never held across a simulated run.
-	mu        sync.Mutex
-	instances []*instance
-	retired   []bool
-	crashed   []bool
-	// memPressure caches each instance's host-DRAM thrash level as of
-	// its last completed request, so the routing view (fleetStates) can
-	// carry the memory signal without taking instance locks.
-	memPressure []float64
-	admission   cluster.Admission
-	router      cluster.Router
-	scaler      cluster.Autoscaler
-	nextID      uint64
-	inflight    []int
-	completed   []int
-	admitted    int
-	rejected    int
-	vnow        float64 // latest instance virtual clock seen
-}
-
-// New builds a server from the configuration.
-func New(c Config) *Server {
-	if c.Model.Layers == 0 {
-		c.Model = moe.Mixtral8x7B()
+// New builds a server over the fleet that opts and fleet describe — the
+// pair finemoe-serve -replay hands scenarios.Runner — and draws synthetic
+// prompts from ds (zero value: LMSYS-Chat-1M). A zero fleet.Instances
+// serves one instance and an empty fleet.Router routes least-loaded.
+func New(opts scenarios.Options, fleet scenarios.FleetSpec, ds workload.Dataset) (*Server, error) {
+	if opts.Model.Name == "" {
+		return nil, errors.New("httpserve: no model")
 	}
-	if c.GPU.Name == "" {
-		c.GPU = memsim.RTX3090()
+	if fleet.Instances <= 0 {
+		fleet.Instances = 1
 	}
-	if c.NumGPUs <= 0 {
-		c.NumGPUs = 6
+	if fleet.Router == "" {
+		fleet.Router = "least-loaded"
 	}
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = int64(float64(c.Model.TotalExpertBytes()) * 0.3)
+	if ds.Name == "" {
+		ds = workload.LMSYSChat1M()
 	}
-	if c.Instances <= 0 {
-		c.Instances = 1
-	}
-	if c.Admission == nil {
-		c.Admission = cluster.NewAlwaysAdmit()
-	}
-	if c.Router == nil {
-		c.Router = cluster.NewLeastLoaded()
-	}
-	if c.MinInstances <= 0 {
-		c.MinInstances = 1
-	}
-	if c.MaxInstances <= 0 {
-		c.MaxInstances = 4 * c.Instances
-	}
-	if c.MaxInstances < c.MinInstances {
-		c.MaxInstances = c.MinInstances
-	}
-	if c.Dataset.Name == "" {
-		c.Dataset = workload.LMSYSChat1M()
+	copts, err := scenarios.NewRunner(opts).ClusterOptions(fleet, nil)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
-		cfg: c.Model, conf: c, dataset: c.Dataset,
-		admission: c.Admission, router: c.Router, scaler: c.Autoscaler,
+		cfg: opts.Model, dataset: ds,
+		admission: copts.Admission.Name(), router: copts.Router.Name(),
+		cl:     cluster.New(copts),
+		served: map[int]tally{},
 	}
-	for i := 0; i < c.Instances; i++ {
-		s.addInstanceLocked()
+	s.idle.L = &s.mu
+	pol := s.cl.Instances()[0].Engine.Policy().(*core.FineMoE)
+	s.info = map[string]any{
+		"model":             s.cfg.Name,
+		"layers":            s.cfg.Layers,
+		"experts_per_layer": s.cfg.RoutedExperts,
+		"top_k":             s.cfg.TopK,
+		"prefetch_distance": pol.PrefetchDistance(),
+		"store_capacity":    pol.Store().Capacity(),
+		"dataset":           ds.Name,
+		"admission":         s.admission,
+		"router":            s.router,
+		"memory_tiers":      []string{"HBM", "DRAM"},
 	}
-	return s
+	if opts.DRAMBytes > 0 {
+		s.info["dram_bytes"] = opts.DRAMBytes
+		s.info["memory_tiers"] = []string{"HBM", "DRAM", "NVMe"}
+	}
+	if copts.Autoscaler != nil {
+		s.info["autoscaler"] = copts.Autoscaler.Name()
+		s.info["min_instances"] = copts.MinInstances
+		s.info["max_instances"] = copts.MaxInstances
+	}
+	return s, nil
 }
 
-// newReplica builds a fresh serving replica: its own simulated gate
-// network (same seed = same model weights), policy, store, and cache.
-func (s *Server) newReplica() *instance {
-	c := s.conf
-	model := moe.NewModel(c.Model, c.Seed)
-	pol := core.NewFineMoE(core.NewStore(c.Model, c.StoreCapacity, c.Model.OptimalPrefetchDistance), core.Options{})
-	eng := serve.New(serve.Options{
-		Model: model, GPU: c.GPU, NumGPUs: c.NumGPUs,
-		CacheBytes: c.CacheBytes, Policy: pol,
-		Memory: memsim.ThreeTier(c.DRAMBytes),
-	})
-	return &instance{engine: eng, policy: pol}
+// lockIdle locks mu once no batch is simulating, so the caller may read
+// or change the cluster. Release with s.mu.Unlock.
+func (s *Server) lockIdle() {
+	s.mu.Lock()
+	for s.busy {
+		s.idle.Wait()
+	}
 }
 
-// addInstanceLocked appends a fresh serving replica. Caller holds s.mu
-// (or is still constructing the server).
-func (s *Server) addInstanceLocked() {
-	s.instances = append(s.instances, s.newReplica())
-	s.retired = append(s.retired, false)
-	s.crashed = append(s.crashed, false)
-	s.inflight = append(s.inflight, 0)
-	s.completed = append(s.completed, 0)
-	s.memPressure = append(s.memPressure, 0)
-}
+// store returns an engine's Expert Map Store (the runner builds every
+// engine around a FineMoE policy).
+func store(e *serve.Engine) *core.Store { return e.Policy().(*core.FineMoE).Store() }
 
-// degradedPressure is the host-DRAM thrash level above which a replica
+// degradedPressure is the host-DRAM thrash level above which an instance
 // reports "degraded" health: past it, a substantial fraction of expert
 // fetches spill below DRAM and latency visibly suffers.
 const degradedPressure = 0.5
 
-// healthLocked classifies one replica's health state. Caller holds s.mu.
-func (s *Server) healthLocked(i int) string {
+// health classifies one instance's state.
+func health(in *cluster.Instance) string {
 	switch {
-	case s.crashed[i]:
+	case in.Crashed:
 		return "crashed"
-	case s.retired[i]:
+	case in.Retiring:
 		return "draining"
-	case s.memPressure[i] > degradedPressure:
+	case in.Engine.MemoryPressure() > degradedPressure:
 		return "degraded"
-	default:
-		return "healthy"
 	}
+	return "healthy"
 }
 
-// Crash marks replica i failed: it leaves the routable set immediately
-// (the live server plays its own failure detector) and reports
-// "crashed" health until restored. In-flight requests on the replica
-// finish against its engine. Unknown IDs are rejected.
-func (s *Server) Crash(i int) error {
-	s.mu.Lock()
+// Crash fails instance id: it leaves the routable set at once (the
+// server is its own failure detector) and reports "crashed" health from
+// then on. Unknown IDs are rejected.
+func (s *Server) Crash(id int) error {
+	s.lockIdle()
 	defer s.mu.Unlock()
-	if i < 0 || i >= len(s.instances) {
-		return fmt.Errorf("httpserve: no instance %d", i)
-	}
-	s.crashed[i] = true
-	return nil
+	return s.cl.Crash(id)
 }
 
-// Restore replaces a crashed replica with a fresh one at the same slot:
-// the restart is cold — empty Expert Map Store, empty expert cache —
-// mirroring the cluster simulator's cold-cache crash replacement.
-func (s *Server) Restore(i int) error {
-	s.mu.Lock()
+// Restore answers crashed instance id with one cold replacement — empty
+// Expert Map Store, empty expert cache — and returns the replacement's
+// ID. Each crash is restored at most once, within the fleet's
+// MaxInstances.
+func (s *Server) Restore(id int) (int, error) {
+	s.lockIdle()
 	defer s.mu.Unlock()
-	if i < 0 || i >= len(s.instances) {
-		return fmt.Errorf("httpserve: no instance %d", i)
-	}
-	if !s.crashed[i] {
-		return fmt.Errorf("httpserve: instance %d is not crashed", i)
-	}
-	s.instances[i] = s.newReplica()
-	s.crashed[i] = false
-	s.retired[i] = false
-	s.completed[i] = 0
-	s.memPressure[i] = 0
-	return nil
-}
-
-// maybeScaleLocked evaluates the autoscaler against the routable fleet at
-// the fleet clock and applies at most one resize. A grow first reactivates
-// a drained retired replica (warm pool) before allocating a fresh one, so
-// a long-running server's total instance count stays bounded however the
-// load oscillates. Caller holds s.mu.
-func (s *Server) maybeScaleLocked(fleet []cluster.InstanceState) {
-	if s.scaler == nil {
-		return
-	}
-	d := s.scaler.Decide(s.vnow, fleet)
-	applied := false
-	switch d {
-	case cluster.Grow:
-		if len(fleet) >= s.conf.MaxInstances {
-			break
-		}
-		reused := false
-		for i := range s.instances {
-			if s.retired[i] && !s.crashed[i] && s.inflight[i] == 0 {
-				s.retired[i] = false
-				reused = true
-				break
-			}
-		}
-		if !reused {
-			s.addInstanceLocked()
-		}
-		applied = true
-	case cluster.Shrink:
-		if len(fleet) <= s.conf.MinInstances {
-			break
-		}
-		// fleetStates carries each replica's whole load in QueueDepth, so
-		// the shared victim selection sees the same signal the cluster's
-		// shared-clock orchestrator does.
-		s.retired[cluster.ShrinkVictim(fleet)] = true
-		applied = true
-	}
-	cluster.NotifyDecision(s.scaler, d, applied)
+	return s.cl.Replace(id)
 }
 
 // GenerateRequest is the POST /v1/generate body.
@@ -311,7 +210,7 @@ type GenerateResponse struct {
 	VirtualTime float64 `json:"virtual_time_ms"`
 }
 
-// InstanceStats reports one replica's cumulative state for /v1/stats.
+// InstanceStats reports one instance's cumulative state for /v1/stats.
 // QueueDepth is the routing-visible load signal — requests routed to the
 // instance and not yet finished — so the per-instance values sum to the
 // fleet-level QueueDepth.
@@ -405,40 +304,10 @@ var ErrRejected = fmt.Errorf("httpserve: admission rejected request")
 // instance crashed or draining).
 var ErrUnavailable = fmt.Errorf("httpserve: no routable instance")
 
-// fleetStates snapshots the routing view: the non-retired fleet, with
-// each entry's ID the instance's stable index in s.instances. Caller
-// holds s.mu; only server-side counters are read, keeping s.mu disjoint
-// from the instance locks (a routed-but-unfinished request is the queue
-// signal, since the demo serves synchronously).
-func (s *Server) fleetStates() []cluster.InstanceState {
-	out := make([]cluster.InstanceState, 0, len(s.instances))
-	for i := range s.instances {
-		if s.retired[i] || s.crashed[i] {
-			continue
-		}
-		out = append(out, cluster.InstanceState{
-			ID: i, QueueDepth: s.inflight[i], Completed: s.completed[i],
-			Submitted:   s.inflight[i] + s.completed[i],
-			MemPressure: s.memPressure[i],
-		})
-	}
-	return out
-}
-
-// Generate runs one request through admission → routing → instance and
-// updates serving state. Returns ErrRejected when admission sheds it.
-func (s *Server) Generate(req GenerateRequest) (GenerateResponse, error) {
-	if req.InputTokens <= 0 {
-		req.InputTokens = 37
-	}
-	if req.OutputTokens <= 0 {
-		req.OutputTokens = 32
-	}
-
-	// Stage 1+2: admission and routing, under the short-held server lock.
-	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
+// request builds request id's synthetic prompt: the topic's direction
+// plus seeded noise, so an ID always yields the same embedding. A topic
+// that is negative or out of range is derived from the ID.
+func (s *Server) request(id uint64, req GenerateRequest) workload.Request {
 	topic := req.PromptTopic
 	if topic < 0 || topic >= s.dataset.Topics {
 		topic = int(rng.Mix(id, 0xF00D) % uint64(s.dataset.Topics))
@@ -448,8 +317,7 @@ func (s *Server) Generate(req GenerateRequest) (GenerateResponse, error) {
 	rng.New(rng.Mix(0xBEEF, id)).UnitVec(noise)
 	tensor.Axpy(s.dataset.TopicSpread, noise, emb)
 	tensor.Normalize(emb)
-
-	wreq := workload.Request{
+	return workload.Request{
 		PromptSpec: moe.PromptSpec{
 			ID: id, Embedding: emb,
 			InputTokens: req.InputTokens, OutputTokens: req.OutputTokens,
@@ -458,111 +326,103 @@ func (s *Server) Generate(req GenerateRequest) (GenerateResponse, error) {
 		Topic:   topic,
 		Dataset: s.dataset.Name,
 	}
-	fleet := s.fleetStates()
-	if len(fleet) == 0 {
-		s.rejected++
-		s.mu.Unlock()
-		return GenerateResponse{RequestID: id, Topic: topic, Instance: -1}, ErrUnavailable
-	}
-	if !s.admission.Admit(wreq, s.vnow, fleet) {
-		s.rejected++
-		s.mu.Unlock()
-		return GenerateResponse{RequestID: id, Topic: topic, Instance: -1}, ErrRejected
-	}
-	s.admitted++
-	s.maybeScaleLocked(fleet)
-	// The autoscaler may have grown the fleet; route over the fresh view
-	// so a scale-up instance is immediately routable.
-	if s.scaler != nil {
-		fleet = s.fleetStates()
-	}
-	ri := s.router.Route(wreq, s.vnow, fleet)
-	if ri < 0 || ri >= len(fleet) {
-		panic("httpserve: router returned out-of-range instance")
-	}
-	target := fleet[ri].ID
-	s.inflight[target]++
-	in := s.instances[target]
-	fleetNow := s.vnow
-	s.mu.Unlock()
+}
 
-	// Stage 3: the instance simulates the request under its own lock, so
-	// requests on different instances run concurrently. The arrival is
-	// stamped at the later of the fleet clock (the admission timeline)
-	// and the instance clock, and the instance clock is advanced to it,
-	// so TTFT includes cross-instance queueing and admission's
-	// token-bucket refill sees the same timeline the engines do.
-	in.mu.Lock()
-	arrival := in.engine.Now()
-	if fleetNow > arrival {
-		arrival = fleetNow
-		in.engine.AdvanceClock(arrival)
+// Generate serves one request through the cluster's admission → routing
+// → instance pipeline, in the next batch. Returns ErrRejected when
+// admission sheds it and ErrUnavailable when no instance is routable.
+func (s *Server) Generate(req GenerateRequest) (GenerateResponse, error) {
+	if req.InputTokens <= 0 {
+		req.InputTokens = 37
 	}
-	wreq.ArrivalMS = arrival
-	in.engine.Submit(wreq)
-	in.engine.Drain()
-	// TakeCompleted (not Completed) so a long-running server does not
-	// accumulate per-request metrics without bound.
-	done := in.engine.TakeCompleted()
-	m := done[len(done)-1]
-	in.served++
-	in.hits += m.Hits
-	in.misses += m.Misses
-	in.sumTTFT += m.TTFTms
-	in.sumTPOT += m.TPOTms
-	in.now = in.engine.Now()
-	in.memPressure = in.engine.MemoryPressure()
-	memPressure := in.memPressure
-	storeSize := in.policy.Store().Len()
-	vnow := in.now
-	in.mu.Unlock()
-
+	if req.OutputTokens <= 0 {
+		req.OutputTokens = 32
+	}
 	s.mu.Lock()
-	s.inflight[target]--
-	s.completed[target]++
-	s.memPressure[target] = memPressure
-	if vnow > s.vnow {
-		s.vnow = vnow
+	defer s.mu.Unlock()
+	c := &call{req: s.request(s.nextID, req)}
+	s.nextID++
+	s.pending = append(s.pending, c)
+	for !c.done {
+		if s.busy {
+			s.idle.Wait()
+		} else {
+			s.runBatch()
+		}
 	}
-	s.mu.Unlock()
+	return c.resp, c.err
+}
 
-	return GenerateResponse{
-		RequestID: id, Topic: topic, Instance: target,
-		TTFTms: m.TTFTms, TPOTms: m.TPOTms, E2Ems: m.E2Ems,
-		Hits: m.Hits, Misses: m.Misses, HitRate: m.HitRate(),
-		StoreSize: storeSize, VirtualTime: vnow,
-	}, nil
+// runBatch offers every pending request at the fleet makespan, drains the
+// cluster with mu released, and completes each call from the metrics its
+// instance's engine recorded. Caller holds mu and no batch is running.
+func (s *Server) runBatch() {
+	batch := s.pending
+	s.pending = nil
+	for _, c := range batch {
+		c.req.ArrivalMS = s.clock
+		c.err = ErrRejected
+		if s.cl.ActiveSize() == 0 {
+			c.err = ErrUnavailable
+		}
+		c.resp = GenerateResponse{RequestID: c.req.ID, Topic: c.req.Topic, Instance: s.cl.Offer(c.req)}
+	}
+	s.busy = true
+	s.mu.Unlock()
+	clock := s.cl.Drain()
+	s.mu.Lock()
+	s.busy = false
+	s.clock = clock
+
+	done := make(map[uint64]serve.RequestMetrics, len(batch))
+	for _, in := range s.cl.Instances() {
+		for _, m := range in.Engine.TakeCompleted() {
+			t := s.served[in.ID]
+			t.served++
+			t.hits += m.Hits
+			t.misses += m.Misses
+			t.sumTTFT += m.TTFTms
+			t.sumTPOT += m.TPOTms
+			s.served[in.ID] = t
+			done[m.ID] = m
+		}
+	}
+	for _, c := range batch {
+		c.done = true
+		if c.resp.Instance < 0 {
+			continue
+		}
+		// Instance IDs are assigned from 0 and never reused, so they
+		// index the cluster's append-only instance list.
+		e := s.cl.Instances()[c.resp.Instance].Engine
+		m := done[c.req.ID]
+		c.err = nil
+		c.resp.TTFTms, c.resp.TPOTms, c.resp.E2Ems = m.TTFTms, m.TPOTms, m.E2Ems
+		c.resp.Hits, c.resp.Misses, c.resp.HitRate = m.Hits, m.Misses, m.HitRate()
+		c.resp.StoreSize, c.resp.VirtualTime = store(e).Len(), e.Now()
+	}
+	s.idle.Broadcast()
 }
 
 // Stats returns cumulative fleet statistics.
 func (s *Server) Stats() StatsResponse {
-	s.mu.Lock()
+	s.lockIdle()
+	defer s.mu.Unlock()
 	st := StatsResponse{
-		Admitted:  s.admitted,
-		Rejected:  s.rejected,
-		Admission: s.admission.Name(),
-		Router:    s.router.Name(),
+		Admitted:  s.cl.Admitted(),
+		Rejected:  s.cl.Rejected(),
+		Admission: s.admission,
+		Router:    s.router,
 	}
-	instances := append([]*instance(nil), s.instances...)
-	inflight := append([]int(nil), s.inflight...)
-	retired := append([]bool(nil), s.retired...)
-	crashed := append([]bool(nil), s.crashed...)
-	health := make([]string, len(s.instances))
-	for i := range s.instances {
-		health[i] = s.healthLocked(i)
-	}
-	s.mu.Unlock()
-
-	var sumTTFT, sumTPOT float64
+	var sumTTFT, sumTPOT, memSum float64
 	var hits, misses int
-	var memSum float64
-	for i, in := range instances {
-		in.mu.Lock()
+	for _, in := range s.cl.Instances() {
+		e, t := in.Engine, s.served[in.ID]
 		is := InstanceStats{
-			ID: i, Served: in.served, QueueDepth: inflight[i], Retired: retired[i],
-			Health:    health[i],
-			StoreSize: in.policy.Store().Len(), VirtualTime: in.now,
-			MemPressure: in.memPressure, Tiers: tierStats(in.engine.TierStats()),
+			ID: in.ID, Served: t.served, QueueDepth: e.QueueDepth() + e.InFlight(),
+			Retired: in.Retiring, Health: health(in),
+			StoreSize: store(e).Len(), VirtualTime: e.Now(),
+			MemPressure: e.MemoryPressure(), Tiers: tierStats(e.TierStats()),
 		}
 		// Fleet tier totals: instances share one hierarchy shape, so
 		// summing by position is well-defined. Capacity sums alongside
@@ -593,31 +453,30 @@ func (s *Server) Stats() StatsResponse {
 				ft.Pressure = float64(ft.ResidentExperts) / float64(ft.CapacityExperts)
 			}
 		}
-		if crashed[i] {
+		if in.Crashed {
 			st.Crashed++
-		} else if !retired[i] {
+		} else if !in.Retiring {
 			st.Active++
-			memSum += in.memPressure
+			memSum += is.MemPressure
 		}
-		if in.served > 0 {
-			is.MeanTTFTms = in.sumTTFT / float64(in.served)
+		if t.served > 0 {
+			is.MeanTTFTms = t.sumTTFT / float64(t.served)
 		}
-		if in.hits+in.misses > 0 {
-			is.HitRate = float64(in.hits) / float64(in.hits+in.misses)
+		if t.hits+t.misses > 0 {
+			is.HitRate = float64(t.hits) / float64(t.hits+t.misses)
 		}
-		st.Served += in.served
-		st.QueueDepth += inflight[i]
+		st.Served += t.served
+		st.QueueDepth += is.QueueDepth
 		st.StoreSize += is.StoreSize
-		st.StoreBytes += in.policy.Store().MemoryBytes()
-		sumTTFT += in.sumTTFT
-		sumTPOT += in.sumTPOT
-		hits += in.hits
-		misses += in.misses
-		if in.now > st.VirtualTime {
-			st.VirtualTime = in.now
+		st.StoreBytes += store(e).MemoryBytes()
+		sumTTFT += t.sumTTFT
+		sumTPOT += t.sumTPOT
+		hits += t.hits
+		misses += t.misses
+		if is.VirtualTime > st.VirtualTime {
+			st.VirtualTime = is.VirtualTime
 		}
 		st.Instances = append(st.Instances, is)
-		in.mu.Unlock()
 	}
 	if st.Served > 0 {
 		st.MeanTTFTms = sumTTFT / float64(st.Served)
@@ -634,33 +493,14 @@ func (s *Server) Stats() StatsResponse {
 
 // ConfigInfo describes the deployment for GET /v1/config.
 func (s *Server) ConfigInfo() map[string]any {
-	s.mu.Lock()
-	pol := s.instances[0].policy
-	n := len(s.instances)
+	s.lockIdle()
+	n := len(s.cl.Instances())
 	s.mu.Unlock()
-	info := map[string]any{
-		"model":             s.cfg.Name,
-		"layers":            s.cfg.Layers,
-		"experts_per_layer": s.cfg.RoutedExperts,
-		"top_k":             s.cfg.TopK,
-		"prefetch_distance": pol.PrefetchDistance(),
-		"store_capacity":    pol.Store().Capacity(),
-		"dataset":           s.dataset.Name,
-		"instances":         n,
-		"admission":         s.admission.Name(),
-		"router":            s.router.Name(),
+	info := make(map[string]any, len(s.info)+1)
+	for k, v := range s.info {
+		info[k] = v
 	}
-	if s.conf.DRAMBytes > 0 {
-		info["dram_bytes"] = s.conf.DRAMBytes
-		info["memory_tiers"] = []string{"HBM", "DRAM", "NVMe"}
-	} else {
-		info["memory_tiers"] = []string{"HBM", "DRAM"}
-	}
-	if s.scaler != nil {
-		info["autoscaler"] = s.scaler.Name()
-		info["min_instances"] = s.conf.MinInstances
-		info["max_instances"] = s.conf.MaxInstances
-	}
+	info["instances"] = n
 	return info
 }
 
@@ -675,14 +515,33 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds POST bodies; valid ones are under 100 bytes.
+const maxBodyBytes = 4 << 10
+
+// decodeBody decodes a bounded JSON request body into v, answering 413
+// for an oversized body and 400 for a malformed one; it reports whether
+// decoding succeeded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req GenerateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.InputTokens > 2048 || req.OutputTokens > 1024 || req.InputTokens < 0 || req.OutputTokens < 0 {
@@ -715,26 +574,26 @@ func (s *Server) handleConfig(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.ConfigInfo())
 }
 
-// InstanceHealth is one replica's entry in the /healthz fleet list.
+// InstanceHealth is one instance's entry in the /healthz fleet list.
 type InstanceHealth struct {
 	ID     int    `json:"id"`
 	Health string `json:"health"`
 }
 
-// handleHealthz reports overall and per-replica health. The endpoint
-// stays 200 "ok" while at least one replica is routable (healthy or
+// handleHealthz reports overall and per-instance health. The endpoint
+// stays 200 "ok" while at least one instance is routable (healthy or
 // degraded) and flips to 503 "unavailable" when none is — the contract
 // a load balancer's health check needs.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	fleet := make([]InstanceHealth, len(s.instances))
+	s.lockIdle()
+	var fleet []InstanceHealth
 	routable := 0
-	for i := range s.instances {
-		h := s.healthLocked(i)
+	for _, in := range s.cl.Instances() {
+		h := health(in)
 		if h == "healthy" || h == "degraded" {
 			routable++
 		}
-		fleet[i] = InstanceHealth{ID: i, Health: h}
+		fleet = append(fleet, InstanceHealth{ID: in.ID, Health: h})
 	}
 	s.mu.Unlock()
 	status := "ok"
@@ -750,11 +609,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // FaultRequest is the POST /v1/faults body: inject or clear a fault on
-// one replica.
+// one instance.
 type FaultRequest struct {
 	Instance int `json:"instance"`
-	// Action is "crash" (fail the replica in place) or "restore"
-	// (replace it with a cold restart).
+	// Action is "crash" (fail the instance in place) or "restore"
+	// (answer the crash with a cold replacement, whose ID the response
+	// carries).
 	Action string `json:"action"`
 }
 
@@ -764,16 +624,16 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FaultRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
+	id := req.Instance
 	var err error
 	switch req.Action {
 	case "crash":
-		err = s.Crash(req.Instance)
+		err = s.Crash(id)
 	case "restore":
-		err = s.Restore(req.Instance)
+		id, err = s.Restore(id)
 	default:
 		http.Error(w, fmt.Sprintf("unknown action %q (crash|restore)", req.Action), http.StatusBadRequest)
 		return
@@ -782,10 +642,10 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.mu.Lock()
-	h := s.healthLocked(req.Instance)
+	s.lockIdle()
+	h := health(s.cl.Instances()[id])
 	s.mu.Unlock()
-	writeJSON(w, map[string]any{"instance": req.Instance, "health": h})
+	writeJSON(w, map[string]any{"instance": id, "health": h})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

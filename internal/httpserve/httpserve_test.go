@@ -5,28 +5,47 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"finemoe/internal/cluster"
 	"finemoe/internal/memsim"
 	"finemoe/internal/moe"
+	"finemoe/internal/scenarios"
 	"finemoe/internal/workload"
 )
 
-func testServer() *Server {
-	ds := workload.LMSYSChat1M()
-	ds.Topics = 6
-	return New(Config{
+// testOptions is the test testbed: Tiny-MoE on two GPUs with half the
+// expert weights cached and a 100-entry Expert Map Store.
+func testOptions() scenarios.Options {
+	return scenarios.Options{
 		Model:         moe.Tiny(),
 		Seed:          1,
 		GPU:           memsim.RTX3090(),
 		NumGPUs:       2,
 		CacheBytes:    moe.Tiny().ExpertBytes() * int64(moe.Tiny().NumExperts()) / 2,
 		StoreCapacity: 100,
-		Instances:     2,
-		Dataset:       ds,
-	})
+	}
 }
+
+// testFleet is the default test fleet: two least-loaded instances.
+func testFleet() scenarios.FleetSpec {
+	return scenarios.FleetSpec{Instances: 2, Router: "least-loaded"}
+}
+
+func newServer(t testing.TB, fleet scenarios.FleetSpec) *Server {
+	t.Helper()
+	ds := workload.LMSYSChat1M()
+	ds.Topics = 6
+	s, err := New(testOptions(), fleet, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func testServer(t testing.TB) *Server { return newServer(t, testFleet()) }
 
 func postGenerate(t *testing.T, ts *httptest.Server, body GenerateRequest) GenerateResponse {
 	t.Helper()
@@ -47,7 +66,7 @@ func postGenerate(t *testing.T, ts *httptest.Server, body GenerateRequest) Gener
 }
 
 func TestGenerateEndpoint(t *testing.T) {
-	ts := httptest.NewServer(testServer().Handler())
+	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 
 	out := postGenerate(t, ts, GenerateRequest{PromptTopic: 2, InputTokens: 6, OutputTokens: 8})
@@ -66,7 +85,7 @@ func TestGenerateEndpoint(t *testing.T) {
 }
 
 func TestStoreWarmupImprovesHitRate(t *testing.T) {
-	ts := httptest.NewServer(testServer().Handler())
+	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 
 	first := postGenerate(t, ts, GenerateRequest{PromptTopic: 1, InputTokens: 6, OutputTokens: 10})
@@ -81,7 +100,7 @@ func TestStoreWarmupImprovesHitRate(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	ts := httptest.NewServer(testServer().Handler())
+	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 
 	postGenerate(t, ts, GenerateRequest{InputTokens: 6, OutputTokens: 6})
@@ -102,7 +121,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestConfigEndpoint(t *testing.T) {
-	ts := httptest.NewServer(testServer().Handler())
+	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/config")
 	if err != nil {
@@ -119,7 +138,7 @@ func TestConfigEndpoint(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	ts := httptest.NewServer(testServer().Handler())
+	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 
 	// Wrong method.
@@ -152,10 +171,24 @@ func TestGenerateValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized request status %d", resp.StatusCode)
 	}
+
+	// Oversized body: rejected before it is read to the end.
+	big := `{"prompt_topic": 1, "pad": "` + strings.Repeat("x", 8<<10) + `"}`
+	resp, err = http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status %d, want 413", resp.StatusCode)
+	}
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	s := New(Config{Model: moe.Tiny(), Seed: 3})
+	s, err := New(scenarios.Options{Model: moe.Tiny(), Seed: 3}, scenarios.FleetSpec{}, workload.Dataset{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	info := s.ConfigInfo()
 	if info["store_capacity"] != 1000 {
 		t.Fatalf("default store capacity %v", info["store_capacity"])
@@ -173,7 +206,7 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestHealthzEndpoint(t *testing.T) {
-	ts := httptest.NewServer(testServer().Handler())
+	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -193,7 +226,7 @@ func TestHealthzEndpoint(t *testing.T) {
 }
 
 func TestMultiInstanceRoutingAndStats(t *testing.T) {
-	ts := httptest.NewServer(testServer().Handler())
+	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 
 	// Serve several requests; the least-loaded router over a 2-instance
@@ -246,7 +279,7 @@ func TestMultiInstanceRoutingAndStats(t *testing.T) {
 // timeline), not the instance's private past, so its virtual completion
 // time can never precede work the fleet already finished elsewhere.
 func TestArrivalsStampedOnFleetClock(t *testing.T) {
-	s := testServer()
+	s := testServer(t)
 	first, err := s.Generate(GenerateRequest{PromptTopic: 0, InputTokens: 6, OutputTokens: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -266,35 +299,16 @@ func TestArrivalsStampedOnFleetClock(t *testing.T) {
 	}
 }
 
-// scriptedScaler replays a fixed decision sequence, then holds.
-type scriptedScaler struct {
-	seq  []cluster.Decision
-	next int
-}
-
-func (s *scriptedScaler) Name() string { return "scripted" }
-
-func (s *scriptedScaler) Decide(float64, []cluster.InstanceState) cluster.Decision {
-	if s.next >= len(s.seq) {
-		return cluster.Hold
-	}
-	d := s.seq[s.next]
-	s.next++
-	return d
-}
-
-func TestAutoscaleGrowsAndRetiresInstances(t *testing.T) {
-	ds := workload.LMSYSChat1M()
-	ds.Topics = 6
-	s := New(Config{
-		Model: moe.Tiny(), Seed: 1, GPU: memsim.RTX3090(), NumGPUs: 2,
-		StoreCapacity: 100, Instances: 1, Dataset: ds,
-		Autoscaler:   &scriptedScaler{seq: []cluster.Decision{cluster.Grow, cluster.Shrink, cluster.Grow}},
-		MinInstances: 1, MaxInstances: 2,
+// TestAutoscaleGrowsOnTicks drives the queue-pressure autoscaler through
+// the cluster's ticks: one request keeps the lone instance above the high
+// watermark for longer than the sustain window, so a tick grows the fleet
+// while the request runs, and the grown instance is routable at once.
+func TestAutoscaleGrowsOnTicks(t *testing.T) {
+	s := newServer(t, scenarios.FleetSpec{
+		Instances: 1, Router: "least-loaded",
+		Autoscale: true, MinInstances: 1, MaxInstances: 2,
+		HighWatermark: 0.5, SustainMS: 1, TickMS: 1,
 	})
-
-	// First arrival triggers the grow; the fleet must have two routable
-	// instances when the request is placed.
 	if _, err := s.Generate(GenerateRequest{PromptTopic: 0, InputTokens: 6, OutputTokens: 6}); err != nil {
 		t.Fatal(err)
 	}
@@ -302,55 +316,125 @@ func TestAutoscaleGrowsAndRetiresInstances(t *testing.T) {
 	if len(st.Instances) != 2 || st.Active != 2 {
 		t.Fatalf("after grow: %d instances, %d active, want 2/2", len(st.Instances), st.Active)
 	}
-
-	// Second arrival triggers the shrink: the idle newest replica
-	// retires but stays in stats; routing continues on the survivor.
 	out, err := s.Generate(GenerateRequest{PromptTopic: 0, InputTokens: 6, OutputTokens: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = s.Stats()
+	if out.Instance != 1 {
+		t.Fatalf("request after grow routed to %d, want the idle new instance 1", out.Instance)
+	}
+	if st := s.Stats(); st.Served != 2 || st.Admitted != 2 || len(st.Instances) != 2 {
+		t.Fatalf("fleet accounting after grow: %+v", st)
+	}
+	info := s.ConfigInfo()
+	if info["autoscaler"] != "queue-pressure" || info["min_instances"] != 1 || info["max_instances"] != 2 {
+		t.Fatalf("autoscaler config not exposed: %v", info)
+	}
+}
+
+// TestAutoscaleShrinksOnTicks is the shrink half: one request on a
+// two-instance fleet holds mean load below the low watermark, so a tick
+// retires the idle, younger instance; it stays in stats as draining and
+// routing continues on the survivor.
+func TestAutoscaleShrinksOnTicks(t *testing.T) {
+	s := newServer(t, scenarios.FleetSpec{
+		Instances: 2, Router: "least-loaded",
+		Autoscale: true, MinInstances: 1, MaxInstances: 2,
+		HighWatermark: 4, LowWatermark: 0.9, SustainMS: 1, TickMS: 1,
+	})
+	if _, err := s.Generate(GenerateRequest{PromptTopic: 0, InputTokens: 6, OutputTokens: 6}); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
 	if len(st.Instances) != 2 || st.Active != 1 {
 		t.Fatalf("after shrink: %d instances, %d active, want 2/1", len(st.Instances), st.Active)
 	}
-	if !st.Instances[1].Retired || st.Instances[0].Retired {
+	if !st.Instances[1].Retired || st.Instances[0].Retired || st.Instances[1].Health != "draining" {
 		t.Fatalf("wrong retiree: %+v", st.Instances)
+	}
+	out, err := s.Generate(GenerateRequest{PromptTopic: 0, InputTokens: 6, OutputTokens: 6})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if out.Instance != 0 {
 		t.Fatalf("post-shrink request routed to %d, want surviving instance 0", out.Instance)
 	}
-	if st.Served != 2 || st.Admitted != 2 {
+	if st := s.Stats(); st.Served != 2 || st.Admitted != 2 {
 		t.Fatalf("fleet accounting after resize: %+v", st)
 	}
+}
 
-	info := s.ConfigInfo()
-	if info["autoscaler"] != "scripted" || info["min_instances"] != 1 || info["max_instances"] != 2 {
-		t.Fatalf("autoscaler config not exposed: %v", info)
+// TestServerIsClusterOfferDrain pins that the server is nothing but a
+// front over one cluster: requests served one at a time through Generate
+// get exactly the metrics and instances that the same requests (same IDs,
+// embeddings and arrival stamps) get when offered to a cluster built from
+// the same spec and drained.
+func TestServerIsClusterOfferDrain(t *testing.T) {
+	fleet := scenarios.FleetSpec{
+		Instances: 2, Router: "semantic",
+		Autoscale: true, MaxInstances: 3, HighWatermark: 0.5, SustainMS: 1, TickMS: 2,
 	}
-
-	// Third arrival triggers another grow: the drained retired replica is
-	// reactivated (warm pool) instead of allocating a fresh instance, so
-	// oscillating load cannot grow the server's memory without bound.
-	if _, err := s.Generate(GenerateRequest{PromptTopic: 0, InputTokens: 6, OutputTokens: 6}); err != nil {
+	s := newServer(t, fleet)
+	copts, err := scenarios.NewRunner(testOptions()).ClusterOptions(fleet, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st = s.Stats()
-	if len(st.Instances) != 2 || st.Active != 2 {
-		t.Fatalf("after regrow: %d instances, %d active, want reuse (2/2)", len(st.Instances), st.Active)
+	cl := cluster.New(copts)
+	clock := 0.0
+	for i := 0; i < 12; i++ {
+		gr := GenerateRequest{PromptTopic: i % 3, InputTokens: 4 + i%5, OutputTokens: 3 + i%4}
+		got, err := s.Generate(gr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := s.request(uint64(i), gr)
+		req.ArrivalMS = clock
+		inst := cl.Offer(req)
+		clock = cl.Drain()
+		done := cl.Instances()[inst].Engine.TakeCompleted()
+		if len(done) != 1 || done[0].ID != req.ID {
+			t.Fatalf("request %d: cluster completions %+v", i, done)
+		}
+		m := done[0]
+		if got.Instance != inst || got.TTFTms != m.TTFTms || got.TPOTms != m.TPOTms ||
+			got.Hits != m.Hits || got.Misses != m.Misses {
+			t.Fatalf("request %d: server instance=%d ttft=%v tpot=%v hits=%d misses=%d; cluster instance=%d ttft=%v tpot=%v hits=%d misses=%d",
+				i, got.Instance, got.TTFTms, got.TPOTms, got.Hits, got.Misses,
+				inst, m.TTFTms, m.TPOTms, m.Hits, m.Misses)
+		}
 	}
-	if st.Instances[0].Retired || st.Instances[1].Retired {
-		t.Fatalf("regrow left a retired flag set: %+v", st.Instances)
+	if n := len(s.Stats().Instances); n != len(cl.Instances()) {
+		t.Fatalf("server fleet %d instances, cluster %d", n, len(cl.Instances()))
+	}
+}
+
+// TestConcurrentGenerateBatches fires concurrent requests: each is served
+// exactly once, whichever batch it joins.
+func TestConcurrentGenerateBatches(t *testing.T) {
+	s := testServer(t)
+	const n = 16
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = s.Generate(GenerateRequest{PromptTopic: i % 6, InputTokens: 5, OutputTokens: 4})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if st := s.Stats(); st.Served != n || st.Admitted != n || st.QueueDepth != 0 {
+		t.Fatalf("accounting after concurrent burst: %+v", st)
 	}
 }
 
 func TestAdmissionRejectionOver429(t *testing.T) {
-	ds := workload.LMSYSChat1M()
-	ds.Topics = 6
-	s := New(Config{
-		Model: moe.Tiny(), Seed: 1, GPU: memsim.RTX3090(), NumGPUs: 2,
-		StoreCapacity: 100, Instances: 2, Dataset: ds,
-		Admission: cluster.NewRejectAll(),
-	})
+	s := newServer(t, scenarios.FleetSpec{Instances: 2, Router: "least-loaded", Admission: "reject-all"})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -374,9 +458,9 @@ func TestAdmissionRejectionOver429(t *testing.T) {
 // crash a replica over POST /v1/faults, watch /healthz and /v1/stats
 // flip it to "crashed" and keep routing on the survivor; crash the
 // survivor too and watch the server answer 503 everywhere; restore and
-// watch the fleet come back healthy with a cold store.
+// watch a cold replacement, under a new ID, bring the fleet back.
 func TestFaultEndpointAndHealthStates(t *testing.T) {
-	ts := httptest.NewServer(testServer().Handler())
+	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 
 	postFault := func(inst int, action string) (*http.Response, map[string]any) {
@@ -442,23 +526,30 @@ func TestFaultEndpointAndHealthStates(t *testing.T) {
 		t.Fatalf("generate with all crashed: status %d, want 503", resp.StatusCode)
 	}
 
-	// Restore replica 0: cold restart — routable again, store empty.
-	if resp, out := postFault(0, "restore"); resp.StatusCode != http.StatusOK || out["health"] != "healthy" {
+	// Restore replica 0: a cold replacement joins under the next ID —
+	// routable, store empty — and the crashed original stays crashed.
+	resp, out := postFault(0, "restore")
+	if resp.StatusCode != http.StatusOK || out["health"] != "healthy" || out["instance"] != float64(2) {
 		t.Fatalf("restore response %d %v", resp.StatusCode, out)
 	}
 	if code, h := getHealth(); code != http.StatusOK || h["routable"] != float64(1) {
 		t.Fatalf("healthz after restore: %d %v", code, h)
 	}
-	if st := getStats(t, ts); st.Instances[0].StoreSize != 0 {
-		t.Fatalf("restored replica kept a warm store (%d entries)", st.Instances[0].StoreSize)
+	if st := getStats(t, ts); st.Instances[2].StoreSize != 0 || st.Instances[0].Health != "crashed" {
+		t.Fatalf("restored replica kept a warm store (%d entries) or original revived (%s)",
+			st.Instances[2].StoreSize, st.Instances[0].Health)
 	}
-	if out := postGenerate(t, ts, GenerateRequest{InputTokens: 5, OutputTokens: 4}); out.Instance != 0 {
+	if out := postGenerate(t, ts, GenerateRequest{InputTokens: 5, OutputTokens: 4}); out.Instance != 2 {
 		t.Fatalf("request not routed to restored replica: %+v", out)
 	}
 
-	// Restoring a live replica and bad actions are rejected.
-	if resp, _ := postFault(0, "restore"); resp.StatusCode != http.StatusBadRequest {
+	// Restoring a live replica, restoring a crash twice, and bad actions
+	// are rejected.
+	if resp, _ := postFault(2, "restore"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("restore of live replica: status %d, want 400", resp.StatusCode)
+	}
+	if resp, _ := postFault(0, "restore"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("second restore of one crash: status %d, want 400", resp.StatusCode)
 	}
 	if resp, _ := postFault(99, "crash"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("crash of unknown replica: status %d, want 400", resp.StatusCode)

@@ -92,6 +92,54 @@ func (r *Runner) engine() *serve.Engine {
 	})
 }
 
+// ClusterOptions turns a fleet spec and an optional fault spec into the
+// cluster they describe on the runner's model and testbed: fresh
+// cold-store engines for the initial fleet, the named admission and
+// routing policies, the queue-pressure autoscaler when enabled, and the
+// fault plan with its resilience policy. It is the one replica builder:
+// Run and the live HTTP server (internal/httpserve) both build their
+// fleets here. EngineFactory is always set, so a caller can also spawn
+// cold replacements on demand (cluster.Replace).
+func (r *Runner) ClusterOptions(f FleetSpec, fs *FaultSpec) (cluster.Options, error) {
+	if f.Instances <= 0 {
+		return cluster.Options{}, fmt.Errorf("scenarios: fleet needs at least one instance")
+	}
+	rt, err := NewRouter(f.Router)
+	if err != nil {
+		return cluster.Options{}, err
+	}
+	adm, err := NewAdmission(f.Admission, f.AdmitBurst, f.AdmitRate)
+	if err != nil {
+		return cluster.Options{}, err
+	}
+	engines := make([]*serve.Engine, f.Instances)
+	for i := range engines {
+		engines[i] = r.engine()
+	}
+	copts := cluster.Options{
+		Engines:       engines,
+		Admission:     adm,
+		Router:        rt,
+		EngineFactory: func(id int) *serve.Engine { return r.engine() },
+		MaxInstances:  f.maxInst(),
+	}
+	if fs.faulted() {
+		copts.FaultPlan = fs.plan()
+		copts.Resilience = fs.Resilience
+	}
+	if f.Autoscale {
+		copts.Autoscaler = cluster.NewQueuePressure(cluster.QueuePressureOptions{
+			HighWatermark: f.HighWatermark,
+			LowWatermark:  f.LowWatermark,
+			SustainMS:     f.SustainMS,
+			CooldownMS:    f.CooldownMS,
+		})
+		copts.MinInstances = f.minInst()
+		copts.AutoscaleIntervalMS = f.TickMS
+	}
+	return copts, nil
+}
+
 // clamp applies the runner's token clamps to one request.
 func (r *Runner) clamp(q workload.Request) workload.Request {
 	if r.opts.MaxInput > 0 && q.InputTokens > r.opts.MaxInput {
@@ -224,10 +272,6 @@ func workloadLabel(w WorkloadSpec) string {
 
 // Run executes one scenario end to end and reports it.
 func (r *Runner) Run(sc Scenario) (*Report, error) {
-	if sc.Fleet.Instances <= 0 {
-		return nil, fmt.Errorf("scenarios: %s: fleet needs at least one instance", sc.Name)
-	}
-
 	// Workload: the open-loop trace plus, for sessions, the closed-loop
 	// follow-up hook. tenantOf tracks every offered request's tenant so
 	// served metrics can be partitioned after the run.
@@ -272,48 +316,11 @@ func (r *Runner) Run(sc Scenario) (*Report, error) {
 		trace[i] = r.clamp(trace[i])
 	}
 
-	// Fleet: initial engines, named policies, optional autoscaling.
-	rt, err := NewRouter(sc.Fleet.Router)
+	copts, err := r.ClusterOptions(sc.Fleet, sc.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("scenarios: %s: %w", sc.Name, err)
 	}
-	adm, err := NewAdmission(sc.Fleet.Admission, sc.Fleet.AdmitBurst, sc.Fleet.AdmitRate)
-	if err != nil {
-		return nil, fmt.Errorf("scenarios: %s: %w", sc.Name, err)
-	}
-	engines := make([]*serve.Engine, sc.Fleet.Instances)
-	for i := range engines {
-		engines[i] = r.engine()
-	}
-	copts := cluster.Options{
-		Engines:   engines,
-		Admission: adm,
-		Router:    rt,
-		FollowUp:  followUp,
-	}
-	if sc.Faults.faulted() {
-		copts.FaultPlan = sc.Faults.plan()
-		copts.Resilience = sc.Faults.Resilience
-		if sc.Faults.Resilience.ReplaceOnCrash {
-			// Crash replacement spawns cold-store instances through the
-			// same factory autoscaled growth uses; legal without an
-			// autoscaler.
-			copts.EngineFactory = func(id int) *serve.Engine { return r.engine() }
-			copts.MaxInstances = sc.Fleet.maxInst()
-		}
-	}
-	if sc.Fleet.Autoscale {
-		copts.Autoscaler = cluster.NewQueuePressure(cluster.QueuePressureOptions{
-			HighWatermark: sc.Fleet.HighWatermark,
-			LowWatermark:  sc.Fleet.LowWatermark,
-			SustainMS:     sc.Fleet.SustainMS,
-			CooldownMS:    sc.Fleet.CooldownMS,
-		})
-		copts.EngineFactory = func(id int) *serve.Engine { return r.engine() }
-		copts.MinInstances = sc.Fleet.minInst()
-		copts.MaxInstances = sc.Fleet.maxInst()
-		copts.AutoscaleIntervalMS = sc.Fleet.TickMS
-	}
+	copts.FollowUp = followUp
 	res := cluster.New(copts).RunTrace(trace)
 
 	// Aggregate into the comparable report.

@@ -8,7 +8,8 @@
 // The package exists so "how does the fleet behave under bursty traffic?"
 // is a one-struct question instead of a bespoke experiment: the same spec
 // drives finemoe-bench's scenariofig, finemoe-serve's replay mode, and
-// the golden determinism tests.
+// the golden determinism tests, and its FleetSpec also builds the live
+// HTTP server's fleet (Runner.ClusterOptions).
 package scenarios
 
 import (

@@ -678,6 +678,10 @@ func (e *Engine) SubmitTraced(req workload.Request, iters []*moe.Iteration) {
 // Now returns the engine's virtual clock (ms).
 func (e *Engine) Now() float64 { return e.now }
 
+// Policy returns the engine's offloading policy, for read-only
+// inspection (e.g. a FineMoE Expert Map Store's size).
+func (e *Engine) Policy() policy.Policy { return e.pol }
+
 // AdvanceClock moves the engine's virtual clock forward to now (a no-op
 // when now is not ahead of it), completing any in-flight transfers due by
 // then. Orchestrators use it to align a quiescent instance with a
