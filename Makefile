@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short lint vet-lint fmt clusterbench faultfig
+.PHONY: build test test-short lint vet-lint fmt perfbench layerbench faultfig
 
 build:
 	$(GO) build ./...
@@ -25,13 +25,26 @@ vet-lint:
 fmt:
 	gofmt -w .
 
-# Regenerate the committed cluster-loop baseline: a 32-instance
-# 1M-request bursty workload through the shared-clock loop, once as a
-# materialized trace and once streamed, byte-parity checked, with
-# wall-clock and memory columns (peak heap, GC cycles, allocs/request) —
-# plus the 10M-request streaming-only horizon run.
-clusterbench:
-	$(GO) run ./cmd/finemoe-bench -clusterbench BENCH_cluster.json -clusterbench-horizon 10000000
+# The committed perf ledger: two tools' own output, regenerated together
+# on one host (host speed moves in phases, so a before/after pair is only
+# comparable when made close together).
+#
+# BENCH_perf.txt is the gated end-to-end benchmark (perfbench/README.md)
+# on each workload at seed 1: the Go version, NumCPU and GOMAXPROCS line,
+# every repeat with its result digest, and the JSON metrics line.
+perfbench:
+	for w in fleet-tiny-mmpp paper-mixtral-warm fleet-sessions-faults; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done > BENCH_perf.txt
+
+# BENCH_layers.txt is the per-layer microbenchmarks' -benchmem output in
+# benchstat format: expert-map search, trajectory cursor and Store.Add
+# dedup (core), the Mixtral gate trace (moe), the engine step (serve) and
+# the shared-clock loop (cluster).
+layerbench:
+	$(GO) test -run '^$$' -benchmem -count 5 \
+		-bench '^Benchmark(SemanticSearch|CursorObserve|NewCursor|StoreAdd|DecodeIterationMixtral|EngineOnline|ClusterLoopSerial)' \
+		./internal/core ./internal/moe ./internal/serve ./internal/cluster > BENCH_layers.txt
 
 # The fault gauntlet at small scale: crash/brownout/stall scenarios with
 # resilience off vs on (see internal/experiments/faults.go).

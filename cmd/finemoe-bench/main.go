@@ -47,16 +47,6 @@ func main() {
 
 		workers = flag.Int("workers", 0,
 			"worker pool for the cluster-sweep experiments (0 = GOMAXPROCS, 1 = serial); tables are identical either way")
-		searchBench = flag.String("searchbench", "",
-			"run the expert-map search micro-benchmarks and write the JSON baseline (BENCH_search.json) to this path, then exit")
-		clusterBench = flag.String("clusterbench", "",
-			"run the cluster-loop benchmark (materialized trace vs streaming source, byte-parity checked) and write the JSON baseline (BENCH_cluster.json) to this path, then exit")
-		clusterBenchN = flag.Int("clusterbench-n", 1_000_000,
-			"request count for -clusterbench (the committed baseline uses 1M; CI smoke uses a small value)")
-		clusterBenchInstances = flag.Int("clusterbench-instances", 32,
-			"fleet size for -clusterbench")
-		clusterBenchHorizon = flag.Int("clusterbench-horizon", 0,
-			"additional streaming-only long-horizon request count for -clusterbench (0 = skip; the committed baseline uses 10M)")
 		cpuProfile = flag.String("cpuprofile", "",
 			"write a pprof CPU profile of the experiment runs to this file")
 		memProfile = flag.String("memprofile", "",
@@ -84,47 +74,6 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	writeMemProfile := func() {
-		if *memProfile == "" {
-			return
-		}
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		runtime.GC() // up-to-date allocation statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if *searchBench != "" {
-		if err := runSearchBench(*searchBench); err != nil {
-			fmt.Fprintf(os.Stderr, "searchbench: %v\n", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Printf("wrote search benchmark baseline to %s\n", *searchBench)
-		}
-		writeMemProfile()
-		return
-	}
-
-	if *clusterBench != "" {
-		if err := runClusterBench(*clusterBench, *clusterBenchN, *clusterBenchInstances, *clusterBenchHorizon); err != nil {
-			fmt.Fprintf(os.Stderr, "clusterbench: %v\n", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Printf("wrote cluster benchmark baseline to %s\n", *clusterBench)
-		}
-		writeMemProfile()
-		return
-	}
-
 	var sc experiments.Scale
 	switch *scale {
 	case "full":
@@ -171,5 +120,17 @@ func main() {
 			fmt.Printf("-- %s completed in %v --\n\n", id, watch.ElapsedRounded(time.Millisecond))
 		}
 	}
-	writeMemProfile()
+	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			os.Exit(1)
+		}
+		defer f.Close()
+		runtime.GC() // up-to-date allocation statistics
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			os.Exit(1)
+		}
+	}
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -35,6 +36,10 @@ func main() {
 		in      = flag.String("in", "", "read a JSON trace instead of sampling")
 	)
 	flag.Parse()
+	if err := checkFlags(*n, *dim, *online, *rate); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var ds workload.Dataset
 	switch strings.ToLower(*dsArg) {
@@ -61,6 +66,10 @@ func main() {
 			os.Exit(1)
 		}
 		ds, reqs = loadedDS, loaded
+		if len(reqs) > 0 {
+			// Re-write a loaded trace at its own dimension, not -dim's.
+			*dim = len(reqs[0].Embedding)
+		}
 	} else if *online {
 		reqs = workload.AzureTrace(ds, *dim, workload.TraceConfig{RatePerSec: *rate, N: *n, Seed: *seed})
 	} else {
@@ -102,4 +111,17 @@ func main() {
 		}
 		fmt.Print(t.CSV())
 	}
+}
+
+// checkFlags rejects sampling parameters the generators would panic on.
+func checkFlags(n, dim int, online bool, rate float64) error {
+	switch {
+	case n < 0:
+		return fmt.Errorf("-n must be non-negative, got %d", n)
+	case dim <= 0:
+		return fmt.Errorf("-dim must be positive, got %d", dim)
+	case online && !(rate > 0 && rate <= math.MaxFloat64):
+		return fmt.Errorf("-rate must be a positive finite req/s with -online, got %v", rate)
+	}
+	return nil
 }

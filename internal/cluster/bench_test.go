@@ -7,15 +7,21 @@ import (
 	"finemoe/internal/workload"
 )
 
-// benchFleet builds one fresh bench fleet and its trace — a scaled-down
-// cut of cmd/finemoe-bench -clusterbench (the committed BENCH_cluster.json
-// baseline runs the same shape at 32 instances and 1M requests).
-func benchFleet(instances, n int) (*Cluster, []workload.Request) {
-	m := moe.NewModel(moe.Tiny(), 42)
-	trace := workload.OnlineTrace(workload.Dataset{
+// benchDataset is the Tiny-MoE prompt population of perfbench's
+// fleet-tiny-mmpp workload: eight topics, a handful of tokens per request.
+func benchDataset() workload.Dataset {
+	return workload.Dataset{
 		Name: "clusterbench", Topics: 8, TopicSpread: 0.05,
 		MeanInput: 5, MeanOutput: 4, LenSigma: 0.3, Seed: 11,
-	}, m.Cfg.SemDim, workload.OnlineOptions{
+	}
+}
+
+// benchFleet builds one fresh bench fleet and its trace: the
+// fleet-tiny-mmpp shape (bursty MMPP at 8 req/s per instance,
+// least-loaded routing) cut down to a few instances and requests.
+func benchFleet(instances, n int) (*Cluster, []workload.Request) {
+	m := moe.NewModel(moe.Tiny(), 42)
+	trace := workload.OnlineTrace(benchDataset(), m.Cfg.SemDim, workload.OnlineOptions{
 		Arrivals: workload.BurstyMMPP(8 * float64(instances)), N: n, Seed: 42,
 	})
 	c := New(Options{
@@ -25,9 +31,10 @@ func benchFleet(instances, n int) (*Cluster, []workload.Request) {
 	return c, trace
 }
 
-// BenchmarkClusterLoopSerial measures the shared-clock loop; CI smokes
-// it at -benchtime 1x so harness rot is caught without paying full
-// benchmark time.
+// BenchmarkClusterLoopSerial measures the shared-clock loop over a
+// materialized 512-request trace on 8 instances; `make layerbench`
+// records it in BENCH_layers.txt, and CI smokes it at -benchtime 1x so
+// harness rot is caught without paying full benchmark time.
 func BenchmarkClusterLoopSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -26,6 +26,7 @@ type Instance struct {
 	// ID is the instance's stable identity within the fleet. IDs are
 	// assigned monotonically and never reused, so they survive fleet
 	// resizes (an instance keeps its ID when others join or retire).
+	// The fleet only appends, so an ID is also the instance's index.
 	ID int
 	// Engine is the replica's serving engine (its own policy and cache).
 	Engine *serve.Engine
@@ -52,9 +53,6 @@ type Instance struct {
 	// observed is the prefix of the engine's completion history the
 	// cluster has already consulted for follow-up injection.
 	observed int
-	// idx is the instance's position in the cluster's instances slice
-	// (append-only, so stable) — the key into the next-event heap.
-	idx int
 	// replaced marks a crashed instance Replace already answered, so
 	// each crash buys at most one cold replacement.
 	replaced bool
@@ -157,7 +155,6 @@ type Cluster struct {
 	maxInst  int
 	tickMS   float64
 	nextTick float64
-	nextID   int
 	initial  int
 	events   []ScaleEvent
 
@@ -293,10 +290,9 @@ func New(opts Options) *Cluster {
 		if e == nil {
 			panic("cluster: nil engine")
 		}
-		c.instances = append(c.instances, &Instance{ID: i, Engine: e, idx: i})
+		c.instances = append(c.instances, &Instance{ID: i, Engine: e})
 		c.evtPush(i)
 	}
-	c.nextID = len(c.instances)
 	return c
 }
 
@@ -441,14 +437,14 @@ func (c *Cluster) activeStates() []InstanceState {
 	return out
 }
 
-// instanceByID returns the instance with the given stable ID.
+// instanceByID returns the instance with the given ID (its index), or
+// nil — crash, replace and fault-plan targets come from outside and may
+// name IDs that never joined the fleet.
 func (c *Cluster) instanceByID(id int) *Instance {
-	for _, in := range c.instances {
-		if in.ID == id {
-			return in
-		}
+	if id < 0 || id >= len(c.instances) {
+		return nil
 	}
-	panic("cluster: unknown instance id")
+	return c.instances[id]
 }
 
 // Offer runs one request through admission and routing at the request's
@@ -479,7 +475,7 @@ func (c *Cluster) Offer(req workload.Request) int {
 	in := c.instanceByID(fleet[i].ID)
 	in.Submitted++
 	in.Engine.Submit(req)
-	c.refreshEvent(in.idx)
+	c.refreshEvent(in.ID)
 	if c.resOn {
 		c.trackDispatch(req, in)
 	} else if c.followUp != nil {
@@ -503,7 +499,7 @@ func (c *Cluster) observeCompletions(in *Instance) {
 	done := in.Engine.Completed()
 	for _, m := range done[in.observed:] {
 		if c.resOn {
-			c.scheduleRes(resEvent{t: m.EndMS, k: rkComplete, instIdx: int32(in.idx), m: m})
+			c.scheduleRes(resEvent{t: m.EndMS, k: rkComplete, instIdx: int32(in.ID), m: m})
 			continue
 		}
 		orig, ok := c.inFlightReqs[m.ID]
@@ -587,16 +583,15 @@ func (c *Cluster) autoscale(nowMS float64) {
 // schedules it. The engine's clock is aligned with the fleet so its
 // requests are not timestamped in its pre-spawn past.
 func (c *Cluster) spawn(t float64) *Instance {
-	id := c.nextID
-	c.nextID++
+	id := len(c.instances)
 	e := c.factory(id)
 	if e == nil {
 		panic("cluster: EngineFactory returned nil engine")
 	}
 	e.AdvanceClock(t)
-	in := &Instance{ID: id, Engine: e, StartedMS: t, idx: len(c.instances)}
+	in := &Instance{ID: id, Engine: e, StartedMS: t}
 	c.instances = append(c.instances, in)
-	c.evtPush(in.idx)
+	c.evtPush(id)
 	return in
 }
 

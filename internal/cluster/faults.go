@@ -39,17 +39,6 @@ func (c *Cluster) logFault(t float64, kind string, instance int) {
 	c.flog = append(c.flog, FaultRecord{TimeMS: t, Kind: kind, Instance: instance})
 }
 
-// findInstance returns the instance with the given stable ID, or nil —
-// fault plans may target IDs that never joined the fleet.
-func (c *Cluster) findInstance(id int) *Instance {
-	for _, in := range c.instances {
-		if in.ID == id {
-			return in
-		}
-	}
-	return nil
-}
-
 // applyFault applies one compiled fault event at its scheduled time.
 func (c *Cluster) applyFault(ev faults.Event) {
 	if ev.TimeMS > c.now {
@@ -69,14 +58,14 @@ func (c *Cluster) applyFault(ev faults.Event) {
 // to the dead instance until the matching detect event: submissions pile
 // up unserved and are harvested then.
 func (c *Cluster) applyCrash(ev faults.Event) {
-	in := c.findInstance(ev.Instance)
+	in := c.instanceByID(ev.Instance)
 	if in == nil || in.Crashed {
 		return
 	}
 	in.Crashed = true
 	in.CrashedMS = ev.TimeMS
 	in.Engine.Crash()
-	c.refreshEvent(in.idx)
+	c.refreshEvent(in.ID)
 	c.crashes++
 	c.logFault(ev.TimeMS, "crash", in.ID)
 }
@@ -85,7 +74,7 @@ func (c *Cluster) applyCrash(ev faults.Event) {
 // fleet, stranded requests are requeued or lost per the resilience
 // policy, and a cold replacement may spawn.
 func (c *Cluster) applyDetect(ev faults.Event) {
-	in := c.findInstance(ev.Instance)
+	in := c.instanceByID(ev.Instance)
 	if in == nil || !in.Crashed || in.Detected {
 		return
 	}
@@ -154,7 +143,7 @@ func (c *Cluster) spawnReplacement(t float64) *Instance {
 // Offer/Drain, which plays its own failure detector. Crashing a crashed
 // instance is a no-op.
 func (c *Cluster) Crash(id int) error {
-	if c.findInstance(id) == nil {
+	if c.instanceByID(id) == nil {
 		return fmt.Errorf("cluster: no instance %d", id)
 	}
 	ev := faults.Event{TimeMS: c.now, Kind: faults.KindCrash, Instance: id}
@@ -170,7 +159,7 @@ func (c *Cluster) Crash(id int) error {
 // replacement's ID. Each crashed instance is replaced at most once, and
 // only while the routable fleet is below MaxInstances.
 func (c *Cluster) Replace(id int) (int, error) {
-	in := c.findInstance(id)
+	in := c.instanceByID(id)
 	switch {
 	case in == nil:
 		return -1, fmt.Errorf("cluster: no instance %d", id)

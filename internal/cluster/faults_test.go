@@ -227,8 +227,13 @@ func TestCrashAndReplaceOnDemand(t *testing.T) {
 	if err := c.Crash(1); err != nil {
 		t.Fatalf("crashing a crashed instance: %v, want a no-op", err)
 	}
-	if err := c.Crash(9); err == nil {
-		t.Fatal("crash of an unknown instance accepted")
+	for _, id := range []int{9, -1} {
+		if err := c.Crash(id); err == nil {
+			t.Fatalf("crash of unknown instance %d accepted", id)
+		}
+		if _, err := c.Replace(id); err == nil {
+			t.Fatalf("replace of unknown instance %d accepted", id)
+		}
 	}
 	if c.ActiveSize() != 1 || c.crashes != 1 || c.lostInFlight != 1 || c.failedReqs != 1 {
 		t.Fatalf("after crash: active %d crashes %d lost %d failed %d, want 1/1/1/1",

@@ -258,7 +258,7 @@ func (c *Cluster) dispatchCopy(rec *resRecord, id uint64, t float64, hedge bool)
 	in := c.instanceByID(fleet[i].ID)
 	in.Submitted++
 	in.Engine.Submit(req)
-	c.refreshEvent(in.idx)
+	c.refreshEvent(in.ID)
 	rec.copies = append(rec.copies, resCopy{id: id, inst: in.ID, live: true, hedge: hedge})
 	if c.res.TimeoutMS > 0 {
 		c.scheduleRes(resEvent{t: t + c.res.TimeoutMS, k: rkTimeout, rec: rec,
@@ -328,7 +328,7 @@ func (c *Cluster) resolveCompletion(ev resEvent) {
 		cp.live = false
 		loser := c.instanceByID(cp.inst)
 		if loser.Engine.Cancel(cp.id) {
-			c.refreshEvent(loser.idx)
+			c.refreshEvent(loser.ID)
 		}
 	}
 	c.dropRecord(rec)
@@ -357,7 +357,7 @@ func (c *Cluster) applyTimeout(ev resEvent) {
 	in := c.instanceByID(cp.inst)
 	if in.Engine.Cancel(cp.id) {
 		cp.live = false
-		c.refreshEvent(in.idx)
+		c.refreshEvent(in.ID)
 	}
 	// else: the copy completed inside its final iteration's overshoot;
 	// leave it live — its completion event may still win the request.

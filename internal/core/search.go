@@ -146,9 +146,9 @@ func (s *Searcher) BruteForceSemanticSearch(sem []float64) (SearchResult, bool) 
 // Search-latency model constants. The seed charged semCosineCostMS per
 // stored embedding float — a full three-accumulator cosine per candidate.
 // The clustered index scans with cached norms and one fused dot per
-// candidate, recalibrated to semScanCostMS (5× cheaper per float, matching
-// the measured speedup in BENCH_search.json); centroid ranking still pays
-// a full cosine per non-empty cluster.
+// candidate, recalibrated to semScanCostMS (5× cheaper per float, below
+// the 6.6–9.9× exact-vs-brute speedup measured in BENCH_layers.txt);
+// centroid ranking still pays a full cosine per non-empty cluster.
 const (
 	searchBaseMS    = 0.05
 	semCosineCostMS = 1.5e-6

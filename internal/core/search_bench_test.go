@@ -8,11 +8,19 @@ import (
 	"finemoe/internal/rng"
 )
 
-// benchStore builds the canonical benchmark population on the
-// Mixtral-dimension semantic space (shared with finemoe-bench
-// -searchbench via SearchBenchStore).
+// benchStore builds the canonical search-benchmark population on the
+// Mixtral-dimension semantic space: n synthetic maps (RandomExpertMap,
+// fixed seed 77) in a store of capacity n — steady state at the fill
+// boundary — plus the fixed unit query the benchmarks search for.
 func benchStore(n int) (*Store, []float64) {
-	return SearchBenchStore(moe.Mixtral8x7B(), n)
+	cfg := moe.Mixtral8x7B()
+	s := NewStore(cfg, n, cfg.OptimalPrefetchDistance)
+	for i := 0; i < n; i++ {
+		s.Add(RandomExpertMap(cfg, uint64(i), 77))
+	}
+	q := make([]float64, cfg.SemDim)
+	rng.New(123).UnitVec(q)
+	return s, q
 }
 
 // BenchmarkSemanticSearch measures exact-mode indexed semantic search —

@@ -9,11 +9,7 @@
 // reviewer sees an explicit walltime.Start() when timing is intended.
 package walltime
 
-import (
-	"runtime"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // A Stopwatch measures elapsed wall-clock time for harness reporting. The
 // zero value is not meaningful; obtain one from Start.
@@ -35,55 +31,4 @@ func (s Stopwatch) Elapsed() time.Duration {
 // human-facing progress lines.
 func (s Stopwatch) ElapsedRounded(unit time.Duration) time.Duration {
 	return s.Elapsed().Round(unit)
-}
-
-// A HeapWatch samples the live heap in the background and records the
-// peak HeapAlloc observed. Benchmark harnesses use it to report the
-// steady-state memory ceiling of a run — end-of-run HeapAlloc alone
-// would miss any transient peak the GC already collected. Sampling uses
-// wall time, which is why the watcher lives in this package.
-type HeapWatch struct {
-	peak atomic.Uint64
-	stop chan struct{}
-	done chan struct{}
-}
-
-// WatchHeap starts sampling HeapAlloc every interval until Stop.
-func WatchHeap(interval time.Duration) *HeapWatch {
-	w := &HeapWatch{stop: make(chan struct{}), done: make(chan struct{})}
-	w.sample()
-	go func() {
-		defer close(w.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-t.C:
-				w.sample()
-			}
-		}
-	}()
-	return w
-}
-
-func (w *HeapWatch) sample() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	for {
-		cur := w.peak.Load()
-		if ms.HeapAlloc <= cur || w.peak.CompareAndSwap(cur, ms.HeapAlloc) {
-			return
-		}
-	}
-}
-
-// Stop ends sampling and returns the peak HeapAlloc seen, including a
-// final synchronous sample.
-func (w *HeapWatch) Stop() uint64 {
-	close(w.stop)
-	<-w.done
-	w.sample()
-	return w.peak.Load()
 }

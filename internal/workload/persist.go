@@ -36,9 +36,17 @@ type requestEntry struct {
 
 // WriteTrace serializes a request population to JSON. The dataset metadata
 // travels with the trace so a replayer can regenerate topic directions.
+// It rejects what ReadTrace would: a non-positive dim, or an embedding
+// whose length is not dim.
 func WriteTrace(w io.Writer, d Dataset, dim int, reqs []Request) error {
+	if dim <= 0 {
+		return fmt.Errorf("workload: invalid trace dim %d", dim)
+	}
 	tf := traceFile{Version: 1, Dataset: d, Dim: dim}
-	for _, q := range reqs {
+	for i, q := range reqs {
+		if len(q.Embedding) != dim {
+			return fmt.Errorf("workload: request %d embedding dim %d != %d", i, len(q.Embedding), dim)
+		}
 		e := requestEntry{
 			ID: q.ID, Topic: q.Topic, Embedding: q.Embedding,
 			InputTokens: q.InputTokens, OutputTokens: q.OutputTokens,
@@ -70,12 +78,6 @@ func ReadTrace(r io.Reader) (Dataset, []Request, error) {
 	}
 	reqs := make([]Request, 0, len(tf.Requests))
 	seen := make(map[uint64]bool, len(tf.Requests))
-	// Embeddings are rebacked onto a shared arena: the decoder's
-	// per-request slices (each a separate allocation sized by the JSON
-	// token count, not the row) become garbage as soon as decoding
-	// finishes, and the returned trace has the same memory layout as a
-	// generated one — full-slice-capped rows in shared blocks.
-	arena := NewArena(tf.Dim)
 	var lastArrival float64
 	for i, e := range tf.Requests {
 		if len(e.Embedding) != tf.Dim {
@@ -100,12 +102,22 @@ func ReadTrace(r io.Reader) (Dataset, []Request, error) {
 			q.Dataset = e.Dataset
 		}
 		q.ID = e.ID
-		q.Embedding = arena.Row()
-		copy(q.Embedding, e.Embedding)
+		q.Embedding = e.Embedding
 		q.InputTokens = e.InputTokens
 		q.OutputTokens = e.OutputTokens
 		q.Seed = e.Seed
 		reqs = append(reqs, q)
+	}
+	// Embeddings are rebacked onto one exact array, sized only after every
+	// row checked out at tf.Dim so a file cannot ask for more than it
+	// holds: the decoder's per-request slices (each grown by appending, so
+	// over-capacity) become garbage, and the returned rows are
+	// full-slice-capped like a generated trace's.
+	backing := make([]float64, len(reqs)*tf.Dim)
+	for i := range reqs {
+		row := backing[i*tf.Dim : (i+1)*tf.Dim : (i+1)*tf.Dim]
+		copy(row, reqs[i].Embedding)
+		reqs[i].Embedding = row
 	}
 	return tf.Dataset, reqs, nil
 }

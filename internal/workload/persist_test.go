@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -89,12 +91,8 @@ func TestReadTraceRejectsCorruption(t *testing.T) {
 			})
 		}
 		mutate(&tf)
+		// Encoded directly: WriteTrace would reject most mutations.
 		var buf bytes.Buffer
-		if err := WriteTrace(&buf, tf.Dataset, tf.Dim, nil); err != nil {
-			t.Fatal(err)
-		}
-		// Re-encode manually to keep the mutation (WriteTrace rebuilds).
-		buf.Reset()
 		if err := json.NewEncoder(&buf).Encode(tf); err != nil {
 			t.Fatal(err)
 		}
@@ -139,5 +137,69 @@ func TestReadTraceReplayable(t *testing.T) {
 	}
 	if got[0].PromptSpec.Seed != orig[0].PromptSpec.Seed {
 		t.Fatal("prompt seeds differ; replay would diverge")
+	}
+}
+
+// TestWriteTraceRejectsWhatReadTraceRejects: WriteTrace refuses a file
+// ReadTrace would refuse (a non-positive dim, or an embedding whose
+// length is not dim) instead of writing it.
+func TestWriteTraceRejectsWhatReadTraceRejects(t *testing.T) {
+	d := LMSYSChat1M()
+	reqs := d.Sample(Options{Dim: 16, N: 2, Seed: 1})
+	for _, tc := range []struct {
+		name    string
+		dim     int
+		reqs    []Request
+		wantErr bool
+	}{
+		{"matching dim", 16, reqs, false},
+		{"empty trace", 16, nil, false},
+		{"zero dim", 0, nil, true},
+		{"negative dim", -1, reqs, true},
+		{"dim larger than embeddings", 64, reqs, true},
+		{"dim smaller than embeddings", 8, reqs, true},
+	} {
+		var buf bytes.Buffer
+		err := WriteTrace(&buf, d, tc.dim, tc.reqs)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: WriteTrace error %v, want error %v", tc.name, err, tc.wantErr)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if _, got, err := ReadTrace(&buf); err != nil || len(got) != len(tc.reqs) {
+			t.Errorf("%s: written trace reads back as %d requests, %v", tc.name, len(got), err)
+		}
+	}
+}
+
+// TestReadTraceAllocBounded: a trace's decoded size is bounded by its
+// file size. A high-dim trace with a single request must not allocate
+// more than a small multiple of its input (rows used to be carved from
+// 1024-row blocks, a ×4000 amplification at dim 20000).
+func TestReadTraceAllocBounded(t *testing.T) {
+	const dim = 20000
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"version":1,"dataset":{"name":"d"},"dim":%d,"requests":[{"id":1,"input_tokens":1,"output_tokens":1,"embedding":[0`, dim)
+	b.WriteString(strings.Repeat(",0", dim-1))
+	b.WriteString("]}]}")
+	input := b.String()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, got, err := ReadTrace(strings.NewReader(input))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(got[0].Embedding) != dim {
+		t.Fatalf("decoded %d requests", len(got))
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte trace allocated %d bytes", len(input), alloc)
+	if limit := 64 * uint64(len(input)); alloc > limit {
+		t.Errorf("%d-byte trace allocated %d bytes, limit %d", len(input), alloc, limit)
 	}
 }
